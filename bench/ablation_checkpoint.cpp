@@ -90,7 +90,7 @@ CheckpointPoint run_point(const CheckpointConfig& config) {
   }
 
   stat::StatScenario resume_scenario(config.machine, job, options,
-                                     killed.checkpoint);
+                                     /*executor=*/nullptr, killed.checkpoint);
   const stat::StatRunResult resumed = resume_scenario.run();
   if (!resumed.status.is_ok()) {
     point.note = status_code_name(resumed.status.code());

@@ -264,7 +264,7 @@ struct CostModel {
 // --- Streaming sampling ----------------------------------------------------
 //
 // The --stream mode broadcasts one SampleRequest down the tree, then runs N
-// incremental per-sample merge rounds upward (tbon::StreamingReduction).
+// incremental per-sample merge rounds upward (tbon::Reduction::run_round).
 // These formulas price the pieces streaming adds; transfers still go through
 // net::, payload codec/merge through the MergeCosts formulas above, so the
 // simulator and plan::predict_stream_sample can never drift apart.

@@ -168,7 +168,7 @@ class PhasePredictor {
   [[nodiscard]] Result<RecoveryPrediction> predict_recovery(
       const tbon::TopologySpec& spec, SimTime ping_period) const;
 
-  /// Prices one streaming delta round (tbon::StreamingReduction) for `spec`:
+  /// Prices one streaming delta round (tbon::Reduction::run_round) for `spec`:
   /// each daemon in `daemon_changed` resends its packed snapshot, every
   /// other daemon acknowledges with a bare DeltaHeader; a proc with a
   /// changed child re-merges it (codec + filter merge) plus its cached

@@ -185,16 +185,10 @@ const stat::StatRunResult& SessionScheduler::evaluate(
   // The inner run is deterministic and self-contained, so evaluating a
   // session (for a backfill duration, say) *is* running it — the result is
   // reused verbatim at admission, never recomputed.
-  if (session.checkpoint != nullptr) {
-    stat::StatScenario scenario(resolution.machine, session.request.job,
-                                session.request.options, &exec_,
-                                session.checkpoint);
-    session.evals.emplace_back(resolution.eval_key, scenario.run());
-  } else {
-    stat::StatScenario scenario(resolution.machine, session.request.job,
-                                session.request.options, &exec_);
-    session.evals.emplace_back(resolution.eval_key, scenario.run());
-  }
+  stat::StatScenario scenario(resolution.machine, session.request.job,
+                              session.request.options, &exec_,
+                              session.checkpoint);
+  session.evals.emplace_back(resolution.eval_key, scenario.run());
   return session.evals.back().second;
 }
 

@@ -61,13 +61,13 @@ struct SessionCheckpoint {
 
   // --- streaming cache summary ---------------------------------------------
   /// Per daemon: the leaf held a baseline payload for the delta protocol
-  /// (StreamingReduction::daemon_cache_valid). A restored run starts with
+  /// (tbon::Reduction::daemon_cache_valid). A restored run starts with
   /// cold caches — its first resumed round is a full merge — so these bits
   /// are the record of what the interrupted run had warmed, not state the
   /// restore replays.
   std::vector<bool> daemon_cache_valid;
   /// Per TBON proc: every live contributing child's payload was cached
-  /// (StreamingReduction::proc_cache_complete).
+  /// (tbon::Reduction::proc_cache_complete).
   std::vector<bool> proc_cache_complete;
 
   // --- measured payloads (the re-planning hook's input) ----------------------

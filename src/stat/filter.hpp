@@ -16,7 +16,6 @@
 #include "machine/cost_model.hpp"
 #include "stat/prefix_tree.hpp"
 #include "tbon/reduction.hpp"
-#include "tbon/streaming.hpp"
 
 namespace petastat::stat {
 
@@ -106,7 +105,7 @@ template <typename Label>
   return snapshot.tree.wire_bytes(frames, ctx) + 8;
 }
 
-/// Builds the StreamOps a StreamingReduction runs at every analysis node.
+/// Builds the StreamOps the reduction engine runs every stream round.
 /// Costs are priced by the same shared formulas as the batched filter, so
 /// the planner's predict_stream_sample and the simulator agree by
 /// construction. `frames` and `ctx` must outlive the reduction.

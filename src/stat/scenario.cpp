@@ -8,7 +8,6 @@
 #include "tbon/health.hpp"
 #include "tbon/multicast.hpp"
 #include "tbon/reduction.hpp"
-#include "tbon/streaming.hpp"
 #include "tbon/trigger.hpp"
 
 namespace petastat::stat {
@@ -158,23 +157,6 @@ fs::NfsParams shared_nfs_params(const machine::MachineConfig& machine) {
 }
 
 StatScenario::StatScenario(machine::MachineConfig machine,
-                           machine::JobConfig job, StatOptions options)
-    : StatScenario(std::move(machine), job, std::move(options),
-                   /*executor=*/nullptr, /*restore=*/nullptr) {}
-
-StatScenario::StatScenario(machine::MachineConfig machine,
-                           machine::JobConfig job, StatOptions options,
-                           sim::Executor* executor)
-    : StatScenario(std::move(machine), job, std::move(options), executor,
-                   /*restore=*/nullptr) {}
-
-StatScenario::StatScenario(machine::MachineConfig machine,
-                           machine::JobConfig job, StatOptions options,
-                           std::shared_ptr<const SessionCheckpoint> restore)
-    : StatScenario(std::move(machine), job, std::move(options),
-                   /*executor=*/nullptr, std::move(restore)) {}
-
-StatScenario::StatScenario(machine::MachineConfig machine,
                            machine::JobConfig job, StatOptions options,
                            sim::Executor* executor,
                            std::shared_ptr<const SessionCheckpoint> restore)
@@ -274,52 +256,24 @@ StatScenario::StatScenario(machine::MachineConfig machine,
   // Resolve `--topology auto` / `--fe-shards auto` up front so the run-seed
   // salting below (and everything seeded from it) sees the spec the run will
   // actually use.
-  if (config_status_.is_ok() && restore_ != nullptr) {
+  if (config_status_.is_ok()) {
     // A restore adopts the interrupted run's resolved spec — then the auto
     // modes re-price K and placement against the *measured* payload bytes
     // the checkpoint recorded (the cheap re-planning hook: a resumed session
     // may legally re-shard), and an explicit CLI re-shard folds in as usual.
-    options_.topology = restore_->spec;
-    if (options_.topology_auto || options_.fe_shards_auto) {
-      auto chosen = plan::replan_fe_shards(
+    if (restore_ != nullptr) options_.topology = restore_->spec;
+    std::optional<Result<tbon::TopologySpec>> chosen;
+    if (restore_ != nullptr &&
+        (options_.topology_auto || options_.fe_shards_auto)) {
+      chosen = plan::replan_fe_shards(
           machine_, job_, options_, costs_,
           static_cast<double>(restore_->leaf_payload_bytes));
-      if (chosen.is_ok()) {
-        options_.topology = std::move(chosen).value();
-      } else {
-        config_status_ = chosen.status();
-      }
-    } else {
-      if (options_.fe_shards != 1) {
-        options_.topology.fe_shards = options_.fe_shards;
-      }
-      if (options_.reducer_placement != tbon::ReducerPlacement::kCommLike) {
-        options_.topology.reducer_placement = options_.reducer_placement;
-      }
-    }
-    // Reject a spec the machine cannot build (a K incompatible with this
-    // layout) at construction, where the scheduler screens sessions.
-    if (config_status_.is_ok()) {
-      auto topo = tbon::build_topology(machine_, layout_, options_.topology);
-      if (!topo.is_ok()) config_status_ = topo.status();
-    }
-  } else if (config_status_.is_ok()) {
-    if (options_.topology_auto) {
+    } else if (options_.topology_auto) {
       // The search enumerates the shard dimension itself (K in {1,2,4,8}
       // under `--fe-shards auto`, the pinned K otherwise).
-      auto chosen = plan::choose_topology(machine_, job_, options_, costs_);
-      if (chosen.is_ok()) {
-        options_.topology = std::move(chosen).value();
-      } else {
-        config_status_ = chosen.status();
-      }
+      chosen = plan::choose_topology(machine_, job_, options_, costs_);
     } else if (options_.fe_shards_auto) {
-      auto chosen = plan::choose_fe_shards(machine_, job_, options_, costs_);
-      if (chosen.is_ok()) {
-        options_.topology = std::move(chosen).value();
-      } else {
-        config_status_ = chosen.status();
-      }
+      chosen = plan::choose_fe_shards(machine_, job_, options_, costs_);
     } else {
       // The CLI-level knobs land on the spec; a spec already sharded/placed
       // by a direct API caller is left alone.
@@ -329,6 +283,18 @@ StatScenario::StatScenario(machine::MachineConfig machine,
       if (options_.reducer_placement != tbon::ReducerPlacement::kCommLike) {
         options_.topology.reducer_placement = options_.reducer_placement;
       }
+    }
+    if (chosen.has_value() && chosen->is_ok()) {
+      options_.topology = std::move(*chosen).value();
+    } else if (chosen.has_value()) {
+      config_status_ = chosen->status();
+    }
+    // Reject a restored spec the machine cannot build (a K incompatible
+    // with this layout) at construction, where the scheduler screens
+    // sessions.
+    if (config_status_.is_ok() && restore_ != nullptr) {
+      auto topo = tbon::build_topology(machine_, layout_, options_.topology);
+      if (!topo.is_ok()) config_status_ = topo.status();
     }
   }
 
@@ -577,66 +543,35 @@ StatRunResult StatScenario::run_impl() {
     return result;
   }
 
-  if (streaming) {
-    // Front-end viability is judged up front, exactly as the classic merge
-    // phase does (dead daemons never dial in).
-    const std::uint32_t conn_limit =
-        options_.max_frontend_connections.value_or(
-            machine_.max_tool_connections);
-    if (Status conn =
-            tbon::connection_viability(topology, conn_limit, daemon_dead);
-        !conn.is_ok()) {
-      phases.merge_status = std::move(conn);
-      result.status = phases.merge_status;
-      return result;
+  if (!streaming) {
+    // Each daemon folds its traces straight into its own payload.
+    const auto sink_into = [](auto& payloads, std::uint32_t daemon_id) {
+      auto* payload = &payloads[daemon_id];
+      return stackwalker::TraceSink(
+          [payload, daemon_id](TaskId task, std::uint32_t local, std::uint32_t,
+                               std::uint32_t sample, const app::CallPath& path) {
+            insert_trace(*payload, path, daemon_id, local, task, sample);
+          });
+    };
+    SimTime sample_end = sample_start;
+    for (std::uint32_t d = 0; d < num_daemons; ++d) {
+      if (daemon_dead[d]) continue;
+      walker_->sample_daemon(
+          DaemonId(d), options_.num_samples,
+          dense ? sink_into(dense_payloads, d) : sink_into(hier_payloads, d),
+          [&phases, &sample_end](const stackwalker::SampleReport& report) {
+            phases.daemon_sample_seconds.add(to_seconds(report.total()));
+            phases.sample_symbol_io_max =
+                std::max(phases.sample_symbol_io_max, report.symbol_io_time);
+            sample_end = std::max(sample_end, report.finished_at);
+          });
     }
-    if (dense) {
-      run_stream_phase<GlobalLabel>(topology, result, task_map, daemon_dead);
-    } else {
-      run_stream_phase<HierLabel>(topology, result, task_map, daemon_dead);
-    }
-    if (!phases.merge_status.is_ok()) {
-      result.status = phases.merge_status;
-      return result;
-    }
-    result.classes = equivalence_classes(result.tree_3d);
-    return result;
+    sim_.run();
+    phases.sample_time = sample_end - sample_start;
+    if (options_.run_through == RunThrough::kSampling) return result;
   }
 
-  SimTime sample_end = sample_start;
-  for (std::uint32_t d = 0; d < num_daemons; ++d) {
-    if (daemon_dead[d]) continue;
-    stackwalker::TraceSink sink;
-    const std::uint32_t daemon_id = d;
-    if (dense) {
-      auto* payload = &dense_payloads[d];
-      sink = [payload, daemon_id](TaskId task, std::uint32_t local,
-                                  std::uint32_t, std::uint32_t sample,
-                                  const app::CallPath& path) {
-        insert_trace(*payload, path, daemon_id, local, task, sample);
-      };
-    } else {
-      auto* payload = &hier_payloads[d];
-      sink = [payload, daemon_id](TaskId task, std::uint32_t local,
-                                  std::uint32_t, std::uint32_t sample,
-                                  const app::CallPath& path) {
-        insert_trace(*payload, path, daemon_id, local, task, sample);
-      };
-    }
-    walker_->sample_daemon(
-        DaemonId(d), options_.num_samples, sink,
-        [&phases, &sample_end](const stackwalker::SampleReport& report) {
-          phases.daemon_sample_seconds.add(to_seconds(report.total()));
-          phases.sample_symbol_io_max =
-              std::max(phases.sample_symbol_io_max, report.symbol_io_time);
-          sample_end = std::max(sample_end, report.finished_at);
-        });
-  }
-  sim_.run();
-  phases.sample_time = sample_end - sample_start;
-  if (options_.run_through == RunThrough::kSampling) return result;
-
-  // --- Phase 3: merge ------------------------------------------------------------
+  // --- Phase 3: merge (streaming: interleaved sample + merge rounds) ----------
   // Front-end viability checks (Sec. V-A failures): one shared formulation
   // with the planner, `> limit` rejects.
   // Dead daemons never dial in, so viability is judged on the survivors —
@@ -653,7 +588,11 @@ StatRunResult StatScenario::run_impl() {
     return result;
   }
 
-  if (dense) {
+  if (streaming && dense) {
+    run_stream_phase<GlobalLabel>(topology, result, task_map, daemon_dead);
+  } else if (streaming) {
+    run_stream_phase<HierLabel>(topology, result, task_map, daemon_dead);
+  } else if (dense) {
     run_merge_phase<GlobalLabel>(topology, result, std::move(dense_payloads),
                                  task_map, daemon_dead);
   } else {
@@ -669,145 +608,89 @@ StatRunResult StatScenario::run_impl() {
   return result;
 }
 
-template <typename Label>
-void StatScenario::run_merge_phase(const tbon::TbonTopology& topology,
-                                   StatRunResult& result,
-                                   std::vector<StatPayload<Label>> payloads,
-                                   const TaskMap& task_map,
-                                   const std::vector<bool>& daemon_dead) {
-  PhaseBreakdown& phases = result.phases;
-  const LabelContext ctx{layout_.num_tasks};
-  const app::FrameTable& frames = app_->frames();
-
-  std::uint32_t first_alive = 0;
-  while (first_alive < daemon_dead.size() && daemon_dead[first_alive]) {
-    ++first_alive;
-  }
-  check(first_alive < payloads.size(), "merge phase with every daemon dead");
-  phases.leaf_payload_bytes =
-      payload_wire_bytes(payloads[first_alive], frames, ctx);
-
-  // Receive-buffer viability: the sum of the leaf payloads arriving at the
-  // front end — and at each reducer, which takes over the front end's role
-  // for its shard — must fit (streaming helps internal comm procs, but the
-  // merge root of a flat subtree holds every daemon's full-job bit vectors
-  // at once). Dead daemons send nothing.
-  std::vector<std::uint32_t> merge_roots{0};
-  merge_roots.insert(merge_roots.end(), topology.reducers.begin(),
-                     topology.reducers.end());
-  for (const std::uint32_t root : merge_roots) {
-    std::uint64_t incoming = 0;
-    for (const std::uint32_t child : topology.procs[root].children) {
-      const auto& proc = topology.procs[child];
-      if (proc.is_leaf() && !daemon_dead[proc.daemon.value()]) {
-        incoming +=
-            payload_wire_bytes(payloads[proc.daemon.value()], frames, ctx);
-      }
-    }
-    if (incoming > costs_.merge.frontend_rx_buffer_bytes) {
-      phases.merge_status = resource_exhausted(
-          std::string(root == 0 ? "front-end" : "reducer") +
-          " receive buffers overflow: " + std::to_string(incoming) +
-          " bytes inbound");
-      return;
-    }
-  }
-
-  const SimTime merge_start = sim_.now();
-  const std::vector<net::LinkStat> links_before = net_->link_stats();
-  tbon::Reduction<StatPayload<Label>> reduction(
-      sim_, *net_, topology, make_stat_reduce_ops<Label>(costs_.merge, frames, ctx),
-      exec_);
-  reduction.set_dead_daemons(daemon_dead);
-
-  // Mid-merge failure recovery: the monitor's ping sweep runs only while a
-  // kill is armed (the tool's steady-state costs stay exactly as before),
-  // and leaf payload retention — the recovery's raw material — likewise.
-  const bool kill_armed = options_.fail_at_seconds >= 0.0;
-  reduction.set_retain_payloads(kill_armed);
-  tbon::TriggerManager triggers;
-  tbon::HealthMonitor monitor(sim_, *net_, topology, triggers,
-                              seconds(options_.ping_period_seconds));
-  SimTime victim_detected_at = kSimTimeNever;
-  if (kill_armed) {
-    const std::uint32_t victim = tbon::default_victim(topology);
-    triggers.register_action([&](const tbon::FailureEvent& event) {
-      phases.failure_detect_latency = event.detected_at - event.dead_at;
-      victim_detected_at = event.detected_at;
-      const tbon::RecoveryReport report = reduction.recover(event.proc);
-      if (report.acted) {
-        phases.orphaned_daemons += report.orphan_daemons;
-        phases.lost_daemons += report.lost_daemons;
-      }
-    });
-    monitor.start();
-    sim_.schedule_in(seconds(options_.fail_at_seconds), [&, victim]() {
-      reduction.mark_dead(victim);
-      monitor.mark_dead(victim, sim_.now());
-      ++phases.killed_procs;
-    });
-  }
-
-  std::optional<StatPayload<Label>> merged;
-  SimTime merge_done_at = merge_start;
-  reduction.start(std::move(payloads),
-                  [&](tbon::ReduceResult<StatPayload<Label>> reduce_result) {
-                    merged = std::move(reduce_result.payload);
-                    merge_done_at = reduce_result.finished_at;
-                    phases.merge_bytes = reduce_result.bytes_moved;
-                    phases.merge_messages = reduce_result.messages;
-                    monitor.stop();
-                  });
-  sim_.run();
-  phases.health_sweeps = monitor.sweeps_completed();
-  phases.merge_links = link_stats_since(*net_, links_before);
-  if (!merged.has_value()) {
-    // The victim died holding state the recovery could not rebuild (or died
-    // where no sibling could adopt). The tool reports the stall instead of
-    // spinning on a reduction that can never finish.
-    phases.merge_status = unavailable(
-        "merge stalled: a tool process died mid-merge and could not be "
-        "recovered");
-    return;
-  }
-  phases.merge_time = merge_done_at - merge_start;
-  if (victim_detected_at != kSimTimeNever && merge_done_at > victim_detected_at) {
-    phases.recovery_remerge_time = merge_done_at - victim_detected_at;
-  }
-
-  // Finalization: the optimized representation pays the remap from daemon
-  // order to MPI rank order (0.66 s at 208K tasks). With a sharded front
-  // end the reducers remap their contiguous slices concurrently, so the
-  // phase costs the largest slice instead of the whole job. Either way the
-  // remap only touches ranks that reported — survivors, not the full job.
-  if constexpr (std::is_same_v<Label, HierLabel>) {
-    if (topology.sharded()) {
-      phases.remap_time = machine::sharded_remap_cost(
-          costs_.merge,
-          tbon::largest_shard_task_count(topology, layout_, daemon_dead));
-    } else {
-      std::uint64_t surviving_tasks = 0;
-      for (std::uint32_t d = 0; d < layout_.num_daemons; ++d) {
-        if (!daemon_dead[d]) surviving_tasks += layout_.tasks_of(DaemonId(d));
-      }
-      phases.remap_time =
-          machine::frontend_remap_cost(costs_.merge, surviving_tasks);
-    }
-    sim_.schedule_in(phases.remap_time, []() {});
-    // The two trees remap independently; overlap them across workers while
-    // the modelled remap duration elapses.
-    auto remap_2d = exec_->run(
-        [&]() { result.tree_2d = remap_tree(merged->tree_2d, task_map); });
-    result.tree_3d = remap_tree(merged->tree_3d, task_map);
-    exec_->wait(remap_2d);
-    sim_.run();
-  } else {
-    result.tree_2d = std::move(merged->tree_2d);
-    result.tree_3d = std::move(merged->tree_3d);
-  }
-}
-
 namespace {
+
+/// The mid-merge failure drill shared by the classic merge and the stream:
+/// the armed kill (`--fail-at`), the health monitor's ping sweep, and the
+/// trigger that runs the engine's in-round recovery. The kill lands in the
+/// first round that begins at or past its time (a stream round begins with
+/// its gather), dying as that round's merge starts, so a stream and its
+/// cache-free twin lose the victim in the same round; in a round with no
+/// later boundary (the classic merge, the stream's last round) it fires by
+/// timer mid-round instead, and a timer the round outlives is cancelled.
+/// The monitor runs during every round in which the kill is due or awaits
+/// detection — the only window in which a death can stall the tree — and is
+/// stopped when the round completes, so the simulator can drain; an unarmed
+/// run pays nothing.
+template <typename Payload>
+class FailureDrill {
+ public:
+  FailureDrill(sim::Simulator& sim, net::Network& network,
+               const tbon::TbonTopology& topology, const StatOptions& options,
+               tbon::Reduction<Payload>& engine, PhaseBreakdown& phases)
+      : sim_(sim),
+        engine_(engine),
+        phases_(phases),
+        monitor_(sim, network, topology, triggers_,
+                 seconds(options.ping_period_seconds)),
+        armed_(options.fail_at_seconds >= 0.0),
+        kill_at_(sim.now() + seconds(std::max(0.0, options.fail_at_seconds))),
+        victim_(armed_ ? tbon::default_victim(topology) : 0) {
+    // Leaf payload retention — the recovery's raw material — only while a
+    // kill is armed.
+    engine_.set_retain_payloads(armed_);
+    triggers_.register_action([this](const tbon::FailureEvent& event) {
+      phases_.failure_detect_latency = event.detected_at - event.dead_at;
+      detected_at_ = event.detected_at;
+      const tbon::RecoveryReport report = engine_.recover(event.proc);
+      if (report.acted) {
+        phases_.orphaned_daemons += report.orphan_daemons;
+        phases_.lost_daemons += report.lost_daemons;
+      }
+    });
+  }
+
+  /// Call just before the engine starts the merge of a round that began at
+  /// `round_start`.
+  void begin_round(SimTime round_start, bool last_round) {
+    if (!armed_ || detected_at_ != kSimTimeNever) return;
+    const bool killed = phases_.killed_procs > 0;
+    if (!killed && round_start < kill_at_ && !last_round) return;
+    monitor_.start();
+    if (killed) return;
+    kill_event_ = sim_.schedule_at(std::max(sim_.now(), kill_at_), [this]() {
+      engine_.mark_dead(victim_);
+      monitor_.mark_dead(victim_, sim_.now());
+      ++phases_.killed_procs;
+    });
+  }
+
+  /// Call from the round's completion callback.
+  void end_round(SimTime finished_at) {
+    monitor_.stop();
+    if (phases_.killed_procs == 0) sim_.cancel(kill_event_);  // 0: none armed
+    if (detected_at_ != kSimTimeNever && phases_.recovery_remerge_time == 0 &&
+        finished_at > detected_at_) {
+      phases_.recovery_remerge_time = finished_at - detected_at_;
+    }
+  }
+
+  [[nodiscard]] std::uint32_t sweeps() const {
+    return monitor_.sweeps_completed();
+  }
+
+ private:
+  sim::Simulator& sim_;
+  tbon::Reduction<Payload>& engine_;
+  PhaseBreakdown& phases_;
+  tbon::TriggerManager triggers_;
+  tbon::HealthMonitor monitor_;
+  bool armed_;
+  SimTime kill_at_;
+  std::uint32_t victim_;
+  sim::EventId kill_event_ = 0;
+  SimTime detected_at_ = kSimTimeNever;
+};
 
 /// Builds a SessionCheckpoint at round boundary `boundary` (rounds
 /// [0, boundary) are folded into the accumulators) and charges its virtual
@@ -819,7 +702,7 @@ void capture_session_checkpoint(
     const machine::JobConfig& job, const machine::DaemonLayout& layout,
     const StatOptions& options, const app::FrameTable& frames,
     const LabelContext& ctx, const tbon::TbonTopology& topology,
-    const tbon::StreamingReduction<StreamSnapshot<Label>>& streaming,
+    const tbon::Reduction<StreamSnapshot<Label>>& streaming,
     const PrefixTree<Label>& acc_2d, const PrefixTree<Label>& acc_3d,
     const TaskMap& task_map, std::uint32_t boundary, StatRunResult& result) {
   auto cp = std::make_shared<SessionCheckpoint>();
@@ -904,6 +787,128 @@ void capture_session_checkpoint(
 }  // namespace
 
 template <typename Label>
+void StatScenario::finalize_trees(const tbon::TbonTopology& topology,
+                                  const std::vector<bool>& dead,
+                                  PrefixTree<Label>&& tree_2d,
+                                  PrefixTree<Label>&& tree_3d,
+                                  const TaskMap& task_map,
+                                  StatRunResult& result) {
+  // The optimized representation pays the remap from daemon order to MPI
+  // rank order (0.66 s at 208K tasks). With a sharded front end the reducers
+  // remap their contiguous slices concurrently, so the phase costs the
+  // largest slice instead of the whole job. Either way the remap only
+  // touches ranks that reported — survivors, not the full job.
+  if constexpr (std::is_same_v<Label, HierLabel>) {
+    PhaseBreakdown& phases = result.phases;
+    if (topology.sharded()) {
+      phases.remap_time = machine::sharded_remap_cost(
+          costs_.merge, tbon::largest_shard_task_count(topology, layout_, dead));
+    } else {
+      std::uint64_t surviving_tasks = 0;
+      for (std::uint32_t d = 0; d < layout_.num_daemons; ++d) {
+        if (!dead[d]) surviving_tasks += layout_.tasks_of(DaemonId(d));
+      }
+      phases.remap_time =
+          machine::frontend_remap_cost(costs_.merge, surviving_tasks);
+    }
+    sim_.schedule_in(phases.remap_time, []() {});
+    // The two trees remap independently; overlap them across workers while
+    // the modelled remap duration elapses.
+    auto remap_2d =
+        exec_->run([&]() { result.tree_2d = remap_tree(tree_2d, task_map); });
+    result.tree_3d = remap_tree(tree_3d, task_map);
+    exec_->wait(remap_2d);
+    sim_.run();
+  } else {
+    result.tree_2d = std::move(tree_2d);
+    result.tree_3d = std::move(tree_3d);
+  }
+}
+
+template <typename Label>
+void StatScenario::run_merge_phase(const tbon::TbonTopology& topology,
+                                   StatRunResult& result,
+                                   std::vector<StatPayload<Label>> payloads,
+                                   const TaskMap& task_map,
+                                   const std::vector<bool>& daemon_dead) {
+  PhaseBreakdown& phases = result.phases;
+  const LabelContext ctx{layout_.num_tasks};
+  const app::FrameTable& frames = app_->frames();
+
+  const auto first_alive = static_cast<std::size_t>(
+      std::find(daemon_dead.begin(), daemon_dead.end(), false) -
+      daemon_dead.begin());
+  check(first_alive < payloads.size(), "merge phase with every daemon dead");
+  phases.leaf_payload_bytes =
+      payload_wire_bytes(payloads[first_alive], frames, ctx);
+
+  // Receive-buffer viability: the sum of the leaf payloads arriving at the
+  // front end — and at each reducer, which takes over the front end's role
+  // for its shard — must fit (streaming helps internal comm procs, but the
+  // merge root of a flat subtree holds every daemon's full-job bit vectors
+  // at once). Dead daemons send nothing.
+  std::vector<std::uint32_t> merge_roots{0};
+  merge_roots.insert(merge_roots.end(), topology.reducers.begin(),
+                     topology.reducers.end());
+  for (const std::uint32_t root : merge_roots) {
+    std::uint64_t incoming = 0;
+    for (const std::uint32_t child : topology.procs[root].children) {
+      const auto& proc = topology.procs[child];
+      if (proc.is_leaf() && !daemon_dead[proc.daemon.value()]) {
+        incoming +=
+            payload_wire_bytes(payloads[proc.daemon.value()], frames, ctx);
+      }
+    }
+    if (incoming > costs_.merge.frontend_rx_buffer_bytes) {
+      phases.merge_status = resource_exhausted(
+          std::string(root == 0 ? "front-end" : "reducer") +
+          " receive buffers overflow: " + std::to_string(incoming) +
+          " bytes inbound");
+      return;
+    }
+  }
+
+  // The classic merge is one round of the reduction engine: no baselines,
+  // every leaf sends, every proc merges. merge_bytes counts all traffic of
+  // the round — the monitor's pings included when a kill is armed.
+  const SimTime merge_start = sim_.now();
+  const std::vector<net::LinkStat> links_before = net_->link_stats();
+  tbon::Reduction<StatPayload<Label>> reduction(
+      sim_, *net_, topology, make_stat_reduce_ops<Label>(costs_.merge, frames, ctx),
+      exec_);
+  reduction.set_dead_daemons(daemon_dead);
+  FailureDrill<StatPayload<Label>> drill(sim_, *net_, topology, options_,
+                                         reduction, phases);
+
+  std::optional<StatPayload<Label>> merged;
+  SimTime merge_done_at = merge_start;
+  drill.begin_round(merge_start, /*last_round=*/true);
+  reduction.start(std::move(payloads),
+                  [&](tbon::ReduceResult<StatPayload<Label>> reduce_result) {
+                    merged = std::move(reduce_result.payload);
+                    merge_done_at = reduce_result.finished_at;
+                    phases.merge_bytes = reduce_result.bytes_moved;
+                    phases.merge_messages = reduce_result.messages;
+                    drill.end_round(merge_done_at);
+                  });
+  sim_.run();
+  phases.health_sweeps = drill.sweeps();
+  phases.merge_links = link_stats_since(*net_, links_before);
+  if (!merged.has_value()) {
+    // The victim died holding state the recovery could not rebuild (or died
+    // where no sibling could adopt). The tool reports the stall instead of
+    // spinning on a reduction that can never finish.
+    phases.merge_status = unavailable(
+        "merge stalled: a tool process died mid-merge and could not be "
+        "recovered");
+    return;
+  }
+  phases.merge_time = merge_done_at - merge_start;
+  finalize_trees<Label>(topology, daemon_dead, std::move(merged->tree_2d),
+                        std::move(merged->tree_3d), task_map, result);
+}
+
+template <typename Label>
 void StatScenario::run_stream_phase(const tbon::TbonTopology& topology,
                                     StatRunResult& result,
                                     const TaskMap& task_map,
@@ -918,55 +923,18 @@ void StatScenario::run_stream_phase(const tbon::TbonTopology& topology,
 
   const std::vector<net::LinkStat> links_before = net_->link_stats();
 
-  tbon::StreamingReduction<StreamSnapshot<Label>> streaming(
+  tbon::Reduction<StreamSnapshot<Label>> streaming(
       sim_, *net_, topology,
       make_stream_ops<Label>(costs_.merge, costs_.stream, frames, ctx),
       exec_);
   streaming.set_dead_daemons(daemon_dead);
   streaming.set_full_remerge(options_.stream_full_remerge);
-
-  // Mid-stream failure recovery. The kill cannot ride a simulator timer
-  // here: every per-round drain empties the whole event queue, so a timer
-  // armed for round 3 would fire during round 0's drain anyway. Instead the
-  // victim dies at the first round boundary at or past --fail-at — after the
-  // earlier rounds primed its subtree's caches — the ping sweep runs in
-  // bounded windows between rounds (a free-running monitor would keep every
-  // drain from terminating), and the streaming layer applies the recovery at
-  // the next boundary, which invalidates every ancestor cache the
-  // re-parenting touches: the post-recovery round equals a from-scratch
-  // merge of the survivors.
-  const bool kill_armed = options_.fail_at_seconds >= 0.0;
-  const SimTime kill_at = sim_.now() + seconds(std::max(0.0, options_.fail_at_seconds));
-  tbon::TriggerManager triggers;
-  tbon::HealthMonitor monitor(sim_, *net_, topology, triggers,
-                              seconds(options_.ping_period_seconds));
-  bool victim_detected = false;
-  SimTime victim_detected_at = kSimTimeNever;
-  const std::uint32_t victim = kill_armed ? tbon::default_victim(topology) : 0;
-  if (kill_armed) {
-    triggers.register_action([&](const tbon::FailureEvent& event) {
-      victim_detected = true;
-      victim_detected_at = event.detected_at;
-      phases.failure_detect_latency = event.detected_at - event.dead_at;
-      streaming.recover(event.proc, [&phases](tbon::RecoveryReport report) {
-        if (!report.acted) return;
-        phases.orphaned_daemons += report.orphan_daemons;
-        phases.lost_daemons += report.lost_daemons;
-      });
-    });
-  }
-  const auto maybe_kill = [&]() {
-    if (kill_armed && phases.killed_procs == 0 && sim_.now() >= kill_at) {
-      streaming.mark_dead(victim);
-      monitor.mark_dead(victim, sim_.now());
-      ++phases.killed_procs;
-    }
-  };
-  // Ordering pin: a --fail-at landing exactly on a round boundary (t = 0
-  // included) must drain *before* the next SampleRequest broadcast, not race
-  // the boundary sweep below it — so the kill check runs once here, ahead of
-  // the window announcement, and then at every boundary inside the loop.
-  maybe_kill();
+  // Mid-stream failure recovery runs in the round the victim dies in: the
+  // orphans' payloads of that round are re-sent to adopters, and the
+  // re-parenting invalidates every cache it touches, so every round equals
+  // a from-scratch merge of the survivors.
+  FailureDrill<StreamSnapshot<Label>> drill(sim_, *net_, topology, options_,
+                                            streaming, phases);
 
   // Control plane: one versioned SampleRequest announces the whole window —
   // the cursor to resume at, the remaining round count, the cadence — to
@@ -1000,7 +968,6 @@ void StatScenario::run_stream_phase(const tbon::TbonTopology& topology,
   }
   result.stream_samples.reserve(rounds - start);
   for (std::uint32_t s = start; s < rounds; ++s) {
-    maybe_kill();
     // --- gather round: one cursor of samples per reachable daemon ---------
     const SimTime gather_start = sim_.now();
     SimTime gather_end = gather_start;
@@ -1033,10 +1000,9 @@ void StatScenario::run_stream_phase(const tbon::TbonTopology& topology,
     }
     sim_.run();
     if (s == start) {
-      std::uint32_t first_alive = 0;
-      while (first_alive < num_daemons && unreachable[first_alive]) {
-        ++first_alive;
-      }
+      const auto first_alive = static_cast<std::size_t>(
+          std::find(unreachable.begin(), unreachable.end(), false) -
+          unreachable.begin());
       check(first_alive < num_daemons, "stream phase with every daemon dead");
       phases.leaf_payload_bytes =
           snapshot_wire_bytes(snapshots[first_alive], frames, ctx);
@@ -1045,9 +1011,11 @@ void StatScenario::run_stream_phase(const tbon::TbonTopology& topology,
     // --- merge round ------------------------------------------------------
     const SimTime merge_start = sim_.now();
     std::optional<tbon::StreamRoundResult<StreamSnapshot<Label>>> merged;
+    drill.begin_round(gather_start, /*last_round=*/s + 1 == rounds);
     streaming.run_round(
         s, std::move(snapshots),
-        [&merged](tbon::StreamRoundResult<StreamSnapshot<Label>> r) {
+        [&](tbon::StreamRoundResult<StreamSnapshot<Label>> r) {
+          drill.end_round(r.finished_at);
           merged = std::move(r);
         });
     sim_.run();
@@ -1077,11 +1045,6 @@ void StatScenario::run_stream_phase(const tbon::TbonTopology& topology,
     phases.merge_messages += stats.merge_messages;
     ++phases.stream_rounds;
     if (stats.changed) ++phases.stream_changed_rounds;
-    if (victim_detected_at != kSimTimeNever &&
-        phases.recovery_remerge_time == 0 &&
-        merged->finished_at > victim_detected_at) {
-      phases.recovery_remerge_time = merged->finished_at - victim_detected_at;
-    }
 
     // Fold the round's snapshot into the accumulated trees. The canonical
     // merge makes the fold order-independent, so the accumulated trees are
@@ -1111,20 +1074,12 @@ void StatScenario::run_stream_phase(const tbon::TbonTopology& topology,
       // checkpoint just captured is what resumes it). Status stays OK — a
       // vacate is an operation, not a failure.
       result.vacated = true;
-      phases.health_sweeps = monitor.sweeps_completed();
+      phases.health_sweeps = drill.sweeps();
       phases.stream_links = link_stats_since(*net_, links_before);
       return;
     }
 
     if (s + 1 == rounds) break;
-    // Detection window: while a kill has fired but gone unnoticed, let the
-    // monitor run a bounded burst of sweeps before the next round.
-    if (kill_armed && phases.killed_procs > 0 && !victim_detected) {
-      monitor.start();
-      sim_.schedule_in(3 * seconds(options_.ping_period_seconds),
-                       [&monitor]() { monitor.stop(); });
-      sim_.run();
-    }
     if (options_.stream_interval_seconds > 0.0) {
       // Fixed cadence: the next round starts one interval after this round
       // started gathering, or immediately when the round overran it.
@@ -1136,36 +1091,14 @@ void StatScenario::run_stream_phase(const tbon::TbonTopology& topology,
       }
     }
   }
-  phases.health_sweeps = monitor.sweeps_completed();
+  phases.health_sweeps = drill.sweeps();
   phases.stream_links = link_stats_since(*net_, links_before);
 
   // Finalization: identical to the classic merge phase, except survivors
   // are judged after mid-stream losses (a daemon whose leaf died mid-stream
   // stopped contributing and is not remapped).
-  const std::vector<bool>& final_dead = streaming.dead_daemons();
-  if constexpr (std::is_same_v<Label, HierLabel>) {
-    if (topology.sharded()) {
-      phases.remap_time = machine::sharded_remap_cost(
-          costs_.merge,
-          tbon::largest_shard_task_count(topology, layout_, final_dead));
-    } else {
-      std::uint64_t surviving_tasks = 0;
-      for (std::uint32_t d = 0; d < layout_.num_daemons; ++d) {
-        if (!final_dead[d]) surviving_tasks += layout_.tasks_of(DaemonId(d));
-      }
-      phases.remap_time =
-          machine::frontend_remap_cost(costs_.merge, surviving_tasks);
-    }
-    sim_.schedule_in(phases.remap_time, []() {});
-    auto remap_2d =
-        exec_->run([&]() { result.tree_2d = remap_tree(acc_2d, task_map); });
-    result.tree_3d = remap_tree(acc_3d, task_map);
-    exec_->wait(remap_2d);
-    sim_.run();
-  } else {
-    result.tree_2d = std::move(acc_2d);
-    result.tree_3d = std::move(acc_3d);
-  }
+  finalize_trees<Label>(topology, streaming.dead_daemons(), std::move(acc_2d),
+                        std::move(acc_3d), task_map, result);
 }
 
 }  // namespace petastat::stat

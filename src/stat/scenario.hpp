@@ -154,10 +154,13 @@ struct StatOptions {
   /// merge phase starts, kill tbon::default_victim(topology) — a reducer
   /// when sharded, else an internal comm process. The health monitor's ping
   /// sweep detects the death and Reduction::recover folds the orphaned
-  /// subtree into the victim's siblings. Negative = disabled.
+  /// subtree into the victim's siblings within the same round. A streaming
+  /// run kills in the first round that begins at or past this time.
+  /// Negative = disabled.
   double fail_at_seconds = -1.0;
-  /// Ping-sweep period of the TBON health monitor (only running while
-  /// `fail_at_seconds` is armed). Must be > 0.
+  /// Ping-sweep period of the TBON health monitor (only running during the
+  /// merge rounds in which an armed kill is due or awaits detection). Must
+  /// be > 0.
   double ping_period_seconds = 0.25;
   std::uint64_t seed = 2008;
   /// Worker threads for the execution engine (sampling synthesis, TBON
@@ -210,8 +213,8 @@ struct PhaseBreakdown {
   /// Same delta across the whole streaming phase (--stream), busiest first.
   std::vector<net::LinkStat> stream_links;
 
-  // Mid-merge failure recovery (fail_at_seconds armed). merge_bytes then
-  // also counts the monitor's ping traffic.
+  // Mid-merge failure recovery (fail_at_seconds armed). merge_bytes (and a
+  // stream round's merge_bytes) then also counts the monitor's ping traffic.
   std::uint32_t killed_procs = 0;      // mid-merge kills injected
   std::uint32_t orphaned_daemons = 0;  // daemons re-merged via adopters
   std::uint32_t lost_daemons = 0;      // daemons unrecoverable (dead/no copy)
@@ -282,35 +285,29 @@ struct StatRunResult {
 /// mutex-guarded (see src/plan/predictor.hpp).
 class StatScenario {
  public:
-  StatScenario(machine::MachineConfig machine, machine::JobConfig job,
-               StatOptions options);
-  /// Multi-session form: run this scenario's real computations on a shared,
-  /// caller-owned executor instead of spawning a private worker pool.
-  /// `executor` must outlive the scenario; `options.exec_threads` is ignored.
-  /// Virtual timings are unaffected — the executor only overlaps the real
-  /// work between modelled timestamps — so results stay bit-identical to a
-  /// privately-pooled run.
-  StatScenario(machine::MachineConfig machine, machine::JobConfig job,
-               StatOptions options, sim::Executor* executor);
-  /// Restore forms: resume a vacated streaming session from `restore`. The
-  /// streaming window (round count, cadence) is normalized from the
-  /// checkpoint; the session identity (machine, job, seed, app) must hash to
-  /// the checkpoint's — a mismatch is FAILED_PRECONDITION in config_status().
-  /// A cursor outside [1, total_rounds) is INVALID_ARGUMENT, and a topology
-  /// the machine cannot build (an incompatible K) fails here too. The
-  /// topology is adopted from the checkpoint, unless the auto modes are set —
-  /// then plan::replan_fe_shards re-prices K/placement against the measured
-  /// payload bytes — or the CLI re-shards explicitly. run() then skips
-  /// launch/SBRS (daemons persist across a front-end loss), re-arms the
+  /// `executor` (optional): run this scenario's real computations on a
+  /// shared, caller-owned executor instead of spawning a private worker pool
+  /// (the multi-session form). It must outlive the scenario;
+  /// `options.exec_threads` is then ignored. Virtual timings are unaffected —
+  /// the executor only overlaps the real work between modelled timestamps —
+  /// so results stay bit-identical to a privately-pooled run.
+  ///
+  /// `restore` (optional): resume a vacated streaming session from this
+  /// checkpoint. The streaming window (round count, cadence) is normalized
+  /// from the checkpoint; the session identity (machine, job, seed, app) must
+  /// hash to the checkpoint's — a mismatch is FAILED_PRECONDITION in
+  /// config_status(). A cursor outside [1, total_rounds) is INVALID_ARGUMENT,
+  /// and a topology the machine cannot build (an incompatible K) fails here
+  /// too. The topology is adopted from the checkpoint, unless the auto modes
+  /// are set — then plan::replan_fe_shards re-prices K/placement against the
+  /// measured payload bytes — or the CLI re-shards explicitly. run() then
+  /// skips launch/SBRS (daemons persist across a front-end loss), re-arms the
   /// multicast cursor at restore->cursor, and merges the resumed rounds into
   /// the checkpointed trees; the canonical merge keeps the products
   /// bit-identical to the never-killed run.
   StatScenario(machine::MachineConfig machine, machine::JobConfig job,
-               StatOptions options,
-               std::shared_ptr<const SessionCheckpoint> restore);
-  StatScenario(machine::MachineConfig machine, machine::JobConfig job,
-               StatOptions options, sim::Executor* executor,
-               std::shared_ptr<const SessionCheckpoint> restore);
+               StatOptions options, sim::Executor* executor = nullptr,
+               std::shared_ptr<const SessionCheckpoint> restore = nullptr);
   ~StatScenario();
 
   StatScenario(const StatScenario&) = delete;
@@ -352,6 +349,14 @@ class StatScenario {
   void run_stream_phase(const tbon::TbonTopology& topology,
                         StatRunResult& result, const TaskMap& task_map,
                         const std::vector<bool>& daemon_dead);
+
+  /// Both merge paths end here: remap the merged trees to rank order (hier
+  /// labels, priced over the daemons not in `dead`) into `result`.
+  template <typename Label>
+  void finalize_trees(const tbon::TbonTopology& topology,
+                      const std::vector<bool>& dead, PrefixTree<Label>&& tree_2d,
+                      PrefixTree<Label>&& tree_3d, const TaskMap& task_map,
+                      StatRunResult& result);
 
   machine::MachineConfig machine_;
   machine::JobConfig job_;

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/status.hpp"
-#include "tbon/reduction.hpp"
+#include "tbon/multicast.hpp"
 
 namespace petastat::tbon {
 

@@ -2,7 +2,6 @@
 
 #include <memory>
 
-#include "tbon/reduction.hpp"
 
 namespace petastat::tbon {
 
@@ -145,8 +144,8 @@ void broadcast(sim::Simulator& simulator, net::Network& network,
   start_fan_out(simulator, network, topology, sink.size(), state);
 }
 
-// Legacy barrier multicast (declared in reduction.hpp): opaque bytes, no
-// CPU model. Kept for callers that only need "every leaf heard us".
+// Legacy barrier multicast: opaque bytes, no CPU model. Kept for callers
+// that only need "every leaf heard us".
 void multicast(sim::Simulator& simulator, net::Network& network,
                const TbonTopology& topology, std::uint64_t bytes,
                std::function<void(SimTime)> done) {

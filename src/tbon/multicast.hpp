@@ -5,9 +5,9 @@
 // control-packet CPU (machine::control_packet_cost), and forwards a copy to
 // each child over its NIC through net::Network — so control-plane latency is
 // priced by exactly the formulas plan::PhasePredictor consults. Compare the
-// legacy multicast() in reduction.hpp, which moved opaque bytes with no CPU
-// model; it survives as a wrapper over the same fan-out for callers that
-// only need a synchronization barrier.
+// legacy multicast() below, which moves opaque bytes with no CPU model; it
+// survives as a wrapper over the same fan-out for callers that only need a
+// synchronization barrier.
 //
 // Upward, every per-sample delta message leads with a DeltaHeader: an
 // unchanged subtree acknowledges with the bare header (kDeltaAckBytes), a
@@ -84,5 +84,12 @@ void broadcast(sim::Simulator& simulator, net::Network& network,
                const machine::StreamCosts& costs, const SampleRequest& request,
                std::function<void(std::uint32_t leaf_proc, SimTime)> on_leaf,
                std::function<void(BroadcastReport)> done);
+
+/// Downstream control multicast (e.g. "take 10 samples now"): small fixed
+/// message fanned out level by level. Returns via callback when the last
+/// leaf has it.
+void multicast(sim::Simulator& simulator, net::Network& network,
+               const TbonTopology& topology, std::uint64_t bytes,
+               std::function<void(SimTime finished_at)> done);
 
 }  // namespace petastat::tbon

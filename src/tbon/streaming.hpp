@@ -1,563 +1,6 @@
-// Incremental per-sample merge rounds over a TbonTopology (--stream mode).
-//
-// A StreamingReduction persists across the N rounds of a streaming sampling
-// run. Each round, every daemon hashes its fresh snapshot payload and sends
-// a *delta*: an unchanged daemon acknowledges with a bare DeltaHeader
-// (kDeltaAckBytes on the wire), a changed one sends its packed payload.
-// Every internal proc keeps a per-child cache of the last payload it
-// received from that child; a proc with at least one changed child is
-// *dirty* — it re-merges the changed arrivals (codec + merge per arrival,
-// exactly as tbon::Reduction charges) plus its cached copies of the
-// unchanged children (machine::cached_merge_cost: a cheap lock-step walk of
-// the already-decoded tree, no codec) and forwards the re-merged subtree
-// payload. A proc whose children all acknowledged forwards an ack itself, so
-// a clean subtree costs control-packet acks all the way up (StreamOps::
-// ack_cpu), never payload bytes or merge-codec charges. The front end
-// answers a clean round from its cached accumulator.
-//
-// Because the prefix-tree merge is canonical (order-independent and
-// associative), the round-k front-end payload is bit-identical to a
-// from-scratch merge of the round-k leaf payloads — set_full_remerge(true)
-// drives every round through the full path for exactly that comparison.
-//
-// Determinism: all virtual timestamps are fixed on the simulator thread at
-// arrival; real merges run on persistent per-proc strands (serialized in
-// arrival order, concurrent across siblings), and every forward waits out
-// its strand — the same contract as tbon::Reduction, bit-identical at any
-// --exec-threads.
-//
-// Failure model: mark_dead/recover may be called at any virtual time, but
-// both take effect at the *next* round boundary — messages of the round in
-// flight are already in network buffers and deliver normally. recover()
-// re-parents the corpse's orphaned leaf procs round-robin onto the nearest
-// alive ancestor's surviving non-leaf children (the ancestor itself when it
-// has none), marks daemons under a dead leaf as lost, and invalidates every
-// cache the change touches: adopted leaves are forced to resend full
-// payloads (the adopter holds no cache for them), and any proc whose
-// contributing-child composition changed is forced dirty (its cached
-// accumulator no longer describes its subtree). The next round is therefore
-// bit-identical to a from-scratch merge of the surviving daemons.
+// Incremental per-sample merge rounds (--stream mode) run on the one
+// reduction engine: tbon::StreamingReduction is tbon::Reduction, driven
+// round by round through run_round (see reduction.hpp).
 #pragma once
 
-#include <algorithm>
-#include <functional>
-#include <memory>
-#include <unordered_map>
-#include <unordered_set>
-#include <utility>
-#include <vector>
-
-#include "common/status.hpp"
-#include "common/types.hpp"
-#include "net/network.hpp"
-#include "sim/executor.hpp"
-#include "sim/simulator.hpp"
-#include "tbon/multicast.hpp"
 #include "tbon/reduction.hpp"
-#include "tbon/topology.hpp"
-
-namespace petastat::tbon {
-
-/// ReduceOps plus the streaming-only cost hooks.
-template <typename Payload>
-struct StreamOps {
-  ReduceOps<Payload> base;
-  /// Daemon CPU to fold a snapshot into its class-signature hash — paid
-  /// every round whether or not anything changed.
-  std::function<SimTime(const Payload&)> signature_cpu;
-  /// Proc CPU to re-merge one *cached* child payload (no unpack codec).
-  std::function<SimTime(const Payload&)> cached_merge_cpu;
-  /// CPU to encode or decode one bare-DeltaHeader ack. A control packet, not
-  /// a payload: machine::control_packet_cost, an order of magnitude below
-  /// the merge codec's per-packet charge — acks must not cost a clean
-  /// subtree what payloads cost a changed one.
-  SimTime ack_cpu = 0;
-};
-
-/// What one streaming round produced.
-template <typename Payload>
-struct StreamRoundResult {
-  /// The front end's merged snapshot for this round (served from its cache
-  /// when `changed` is false).
-  Payload payload{};
-  /// False when every subtree acknowledged and no payload moved to the FE.
-  bool changed = true;
-  SimTime finished_at = 0;
-  std::uint64_t bytes_moved = 0;  // this round's delta traffic only
-  std::uint64_t messages = 0;
-  std::uint32_t changed_daemons = 0;
-  std::uint32_t remerged_procs = 0;  // dirty non-leaf procs (incl. the FE)
-  std::uint32_t cached_procs = 0;    // clean non-leaf procs (incl. the FE)
-};
-
-template <typename Payload>
-class StreamingReduction {
- public:
-  StreamingReduction(sim::Simulator& simulator, net::Network& network,
-                     const TbonTopology& topology, StreamOps<Payload> ops,
-                     sim::Executor* executor = nullptr)
-      : sim_(simulator),
-        net_(network),
-        topo_(topology),
-        ops_(std::move(ops)),
-        executor_(executor) {
-    const std::size_t n = topo_.procs.size();
-    parent_of_.resize(n);
-    children_of_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      parent_of_[i] = topo_.procs[i].parent;
-      children_of_[i] = topo_.procs[i].children;
-    }
-    dead_.assign(n, false);
-    last_contrib_.resize(n);
-    caches_.resize(n);
-    const std::size_t daemons = topo_.leaf_of_daemon.size();
-    dead_daemons_.assign(daemons, false);
-    last_payload_.resize(daemons);
-    force_full_daemon_.assign(daemons, false);
-  }
-
-  /// Daemons flagged here never send. Call before the first round.
-  void set_dead_daemons(std::vector<bool> dead) {
-    check(dead.empty() || dead.size() == topo_.leaf_of_daemon.size(),
-          "StreamingReduction dead-daemon mask size != daemon count");
-    if (!dead.empty()) dead_daemons_ = std::move(dead);
-  }
-
-  /// Disable every cache: all daemons send full payloads, all procs
-  /// re-merge, every round — the from-scratch baseline through the same
-  /// code path, for bit-identity checks and the incremental-vs-full bench.
-  void set_full_remerge(bool full) { full_remerge_ = full; }
-
-  /// Alive daemons the stream can no longer reach (their leaf proc died)
-  /// count as dead from the round the loss is applied.
-  [[nodiscard]] const std::vector<bool>& dead_daemons() const {
-    return dead_daemons_;
-  }
-
-  /// Per daemon: the leaf holds a baseline payload for the delta protocol.
-  /// Recorded into a SessionCheckpoint at round boundaries; a restored run
-  /// starts cold (first resumed round is a full merge) so the bits document
-  /// warmth, they are not replayed.
-  [[nodiscard]] std::vector<bool> daemon_cache_valid() const {
-    std::vector<bool> valid(last_payload_.size(), false);
-    for (std::size_t d = 0; d < last_payload_.size(); ++d) {
-      valid[d] = last_payload_[d] != nullptr;
-    }
-    return valid;
-  }
-
-  /// Per proc: every child that contributed last round has a cached payload
-  /// (a clean round can be answered from cache). Leaves report false — they
-  /// hold no child caches.
-  [[nodiscard]] std::vector<bool> proc_cache_complete() const {
-    std::vector<bool> complete(caches_.size(), false);
-    for (std::size_t i = 0; i < caches_.size(); ++i) {
-      if (topo_.procs[i].is_leaf() || last_contrib_[i].empty()) continue;
-      bool all = true;
-      for (const std::uint32_t child : last_contrib_[i]) {
-        if (caches_[i].by_child.count(child) == 0) {
-          all = false;
-          break;
-        }
-      }
-      complete[i] = all;
-    }
-    return complete;
-  }
-
-  /// Marks a proc dead, effective at the next round boundary.
-  void mark_dead(std::uint32_t proc_index) {
-    pending_ops_.push_back(Op{OpKind::kDeath, proc_index, {}});
-  }
-
-  /// Re-homes the corpse's orphaned leaves, effective at the next round
-  /// boundary; `on_applied` (optional) fires with the report then.
-  void recover(std::uint32_t proc_index,
-               std::function<void(RecoveryReport)> on_applied = {}) {
-    pending_ops_.push_back(
-        Op{OpKind::kRecover, proc_index, std::move(on_applied)});
-  }
-
-  /// Runs one sample round: applies deferred deaths/recoveries, then merges
-  /// the per-daemon snapshot payloads incrementally. `done` fires at the
-  /// front end's completion time. Rounds are strictly sequential — do not
-  /// call again before `done`.
-  void run_round(std::uint32_t cursor, std::vector<Payload> leaf_payloads,
-                 std::function<void(StreamRoundResult<Payload>)> done) {
-    check(leaf_payloads.size() == topo_.leaf_of_daemon.size(),
-          "StreamingReduction::run_round payload count != daemon count");
-    check(round_ == nullptr || round_->completed,
-          "StreamingReduction::run_round while a round is in flight");
-    apply_pending_ops();
-
-    auto round = std::make_shared<Round>();
-    round_ = round;
-    round->cursor = cursor;
-    round->done = std::move(done);
-    round->procs.resize(topo_.procs.size());
-    mark_contributing(*round, 0);
-    check(round->procs[0].contributes,
-          "StreamingReduction::run_round with no reachable daemon");
-
-    const bool threaded = executor_ != nullptr && executor_->parallel();
-    for (std::size_t i = 0; i < topo_.procs.size(); ++i) {
-      RoundProc& rp = round->procs[i];
-      rp.cpu_free_at = sim_.now();
-      if (!rp.contributes || topo_.procs[i].is_leaf()) continue;
-      std::vector<std::uint32_t> contrib;
-      for (const std::uint32_t child : children_of_[i]) {
-        if (round->procs[child].contributes) contrib.push_back(child);
-      }
-      rp.pending = contrib.size();
-      // A changed contributing-child composition (death, adoption) makes the
-      // cached accumulator meaningless: force a full re-merge this round.
-      if (full_remerge_ || contrib != last_contrib_[i]) rp.dirty = true;
-      last_contrib_[i] = std::move(contrib);
-      if (threaded && caches_[i].strand == nullptr) {
-        caches_[i].strand = std::make_unique<sim::Executor::Strand>(*executor_);
-      }
-    }
-
-    // Leaves hash their snapshots and send deltas, in daemon order.
-    for (std::uint32_t d = 0; d < topo_.leaf_of_daemon.size(); ++d) {
-      if (dead_daemons_[d]) continue;
-      const std::uint32_t leaf = topo_.leaf_of_daemon[d];
-      if (!round->procs[leaf].contributes) continue;  // unreachable this round
-      Payload payload = std::move(leaf_payloads[d]);
-      const SimTime sig = ops_.signature_cpu(payload);
-      const bool changed = full_remerge_ || force_full_daemon_[d] ||
-                           last_payload_[d] == nullptr ||
-                           !(payload == *last_payload_[d]);
-      if (changed) {
-        auto kept = std::make_shared<const Payload>(std::move(payload));
-        last_payload_[d] = kept;
-        force_full_daemon_[d] = false;
-        ++round->changed_daemons;
-        const std::uint64_t wire =
-            delta_wire_bytes(ops_.base.wire_bytes(*kept));
-        const SimTime packed_at =
-            sim_.now() + sig + ops_.base.codec_cost(wire);
-        sim_.schedule_at(packed_at, [this, round, leaf, wire, kept]() {
-          send_payload(round, leaf, Payload(*kept), wire);
-        });
-      } else {
-        const SimTime at =
-            sim_.now() + sig + ops_.ack_cpu;
-        sim_.schedule_at(at, [this, round, leaf]() { send_ack(round, leaf); });
-      }
-    }
-  }
-
- private:
-  enum class OpKind : std::uint8_t { kDeath, kRecover };
-  struct Op {
-    OpKind kind;
-    std::uint32_t proc;
-    std::function<void(RecoveryReport)> on_applied;
-  };
-  struct ProcCache {
-    std::unordered_map<std::uint32_t, std::shared_ptr<const Payload>> by_child;
-    std::unique_ptr<sim::Executor::Strand> strand;
-  };
-  struct RoundProc {
-    Payload acc{};
-    std::size_t pending = 0;
-    SimTime cpu_free_at = 0;
-    bool contributes = false;
-    bool dirty = false;
-    std::vector<std::uint32_t> acked;  // children that acknowledged
-    sim::Executor::TaskRef last_merge;
-  };
-  struct Round {
-    std::uint32_t cursor = 0;
-    bool completed = false;
-    std::vector<RoundProc> procs;
-    std::uint64_t bytes = 0;
-    std::uint64_t messages = 0;
-    std::uint32_t changed_daemons = 0;
-    std::uint32_t remerged_procs = 0;
-    std::uint32_t cached_procs = 0;
-    std::function<void(StreamRoundResult<Payload>)> done;
-  };
-
-  void apply_pending_ops() {
-    for (Op& op : pending_ops_) {
-      if (op.kind == OpKind::kDeath) {
-        dead_[op.proc] = true;
-        continue;
-      }
-      RecoveryReport report = apply_recover(op.proc);
-      if (op.on_applied) op.on_applied(report);
-    }
-    pending_ops_.clear();
-  }
-
-  RecoveryReport apply_recover(std::uint32_t proc_index) {
-    RecoveryReport report;
-    check(dead_[proc_index], "StreamingReduction::recover on a live proc");
-    if (parent_of_[proc_index] < 0) return report;  // FE: no recovery
-    if (recovered_.count(proc_index) != 0) return report;
-    recovered_.insert(proc_index);
-
-    // Nearest alive ancestor; branch_child is its dead child on the path
-    // down to the corpse.
-    std::uint32_t branch_child = proc_index;
-    auto ancestor = static_cast<std::uint32_t>(parent_of_[proc_index]);
-    while (dead_[ancestor] && parent_of_[ancestor] >= 0) {
-      branch_child = ancestor;
-      ancestor = static_cast<std::uint32_t>(parent_of_[ancestor]);
-    }
-    if (dead_[ancestor]) return report;  // dead all the way up
-    report.acted = true;
-
-    // The ancestor's composition changes: the dead branch is detached and
-    // its cached payload dropped (the composition check in run_round forces
-    // the ancestor dirty next round).
-    detach_child(ancestor, branch_child);
-    caches_[ancestor].by_child.erase(branch_child);
-
-    // Sort the corpse's daemons into recoverable orphans and lost ones.
-    std::vector<std::uint32_t> orphans;
-    for (std::uint32_t d = 0; d < topo_.leaf_of_daemon.size(); ++d) {
-      if (dead_daemons_[d]) continue;
-      const std::uint32_t leaf = topo_.leaf_of_daemon[d];
-      if (!under(leaf, proc_index)) continue;
-      if (dead_[leaf]) {
-        dead_daemons_[d] = true;  // unreachable for every later round
-        ++report.lost_daemons;
-      } else {
-        orphans.push_back(d);
-      }
-    }
-    if (orphans.empty()) return report;
-
-    std::vector<std::uint32_t> adopters;
-    for (const std::uint32_t child : children_of_[ancestor]) {
-      if (topo_.procs[child].is_leaf()) continue;
-      if (dead_[child]) continue;
-      adopters.push_back(child);
-    }
-    if (adopters.empty()) adopters.push_back(ancestor);
-    report.adopters = static_cast<std::uint32_t>(adopters.size());
-    report.orphan_daemons = static_cast<std::uint32_t>(orphans.size());
-
-    // Orphan leaves re-parent round-robin in daemon order — deterministic at
-    // any thread count. The adopter holds no cache for an adopted leaf, so
-    // the leaf must resend a full payload next round.
-    for (std::size_t i = 0; i < orphans.size(); ++i) {
-      const std::uint32_t d = orphans[i];
-      const std::uint32_t leaf = topo_.leaf_of_daemon[d];
-      const std::uint32_t target = adopters[i % adopters.size()];
-      detach_child(static_cast<std::uint32_t>(parent_of_[leaf]), leaf);
-      parent_of_[leaf] = static_cast<std::int32_t>(target);
-      children_of_[target].push_back(leaf);
-      force_full_daemon_[d] = true;
-    }
-    return report;
-  }
-
-  void detach_child(std::uint32_t parent, std::uint32_t child) {
-    auto& kids = children_of_[parent];
-    kids.erase(std::remove(kids.begin(), kids.end(), child), kids.end());
-  }
-
-  [[nodiscard]] bool under(std::uint32_t proc_index,
-                           std::uint32_t ancestor) const {
-    std::int32_t walk = static_cast<std::int32_t>(proc_index);
-    while (walk >= 0) {
-      if (static_cast<std::uint32_t>(walk) == ancestor) return true;
-      walk = parent_of_[static_cast<std::uint32_t>(walk)];
-    }
-    return false;
-  }
-
-  bool mark_contributing(Round& round, std::uint32_t proc_index) {
-    if (dead_[proc_index]) return false;
-    const auto& proc = topo_.procs[proc_index];
-    bool contributes = false;
-    if (proc.is_leaf()) {
-      for (std::uint32_t d = 0; d < topo_.leaf_of_daemon.size(); ++d) {
-        if (topo_.leaf_of_daemon[d] == proc_index && !dead_daemons_[d]) {
-          contributes = true;
-          break;
-        }
-      }
-    } else {
-      for (const std::uint32_t child : children_of_[proc_index]) {
-        if (mark_contributing(round, child)) contributes = true;
-      }
-    }
-    round.procs[proc_index].contributes = contributes;
-    return contributes;
-  }
-
-  void send_payload(const std::shared_ptr<Round>& round, std::uint32_t from,
-                    Payload&& payload, std::uint64_t wire) {
-    const auto parent = static_cast<std::uint32_t>(parent_of_[from]);
-    ++round->messages;
-    round->bytes += wire;
-    auto shared_payload = std::make_shared<Payload>(std::move(payload));
-    net_.transfer_async(
-        topo_.procs[from].host, topo_.procs[parent].host, wire,
-        [this, round, from, parent, wire, shared_payload]() {
-          receive_payload(round, parent, from, std::move(*shared_payload),
-                          wire);
-        });
-  }
-
-  void send_ack(const std::shared_ptr<Round>& round, std::uint32_t from) {
-    const auto parent = static_cast<std::uint32_t>(parent_of_[from]);
-    ++round->messages;
-    round->bytes += kDeltaAckBytes;
-    net_.transfer_async(topo_.procs[from].host, topo_.procs[parent].host,
-                        kDeltaAckBytes, [this, round, parent, from]() {
-                          receive_ack(round, parent, from);
-                        });
-  }
-
-  void receive_payload(const std::shared_ptr<Round>& round,
-                       std::uint32_t proc_index, std::uint32_t from,
-                       Payload&& payload, std::uint64_t wire) {
-    RoundProc& rp = round->procs[proc_index];
-    check(rp.pending > 0,
-          "StreamingReduction::receive with no pending children");
-    // The proc's single core unpacks and merges arrivals serially; all
-    // timestamps are fixed here, before any real merge work runs.
-    const SimTime cpu =
-        ops_.base.codec_cost(wire) + ops_.base.merge_cpu(payload);
-    const SimTime start = std::max(sim_.now(), rp.cpu_free_at);
-    rp.cpu_free_at = start + cpu;
-    --rp.pending;
-    rp.dirty = true;
-
-    auto kept = std::make_shared<const Payload>(std::move(payload));
-    caches_[proc_index].by_child[from] = kept;
-    merge_in(round, proc_index, kept);
-    if (rp.pending == 0) finish(round, proc_index);
-  }
-
-  void receive_ack(const std::shared_ptr<Round>& round,
-                   std::uint32_t proc_index, std::uint32_t from) {
-    RoundProc& rp = round->procs[proc_index];
-    check(rp.pending > 0,
-          "StreamingReduction::receive with no pending children");
-    const SimTime cpu = ops_.ack_cpu;
-    const SimTime start = std::max(sim_.now(), rp.cpu_free_at);
-    rp.cpu_free_at = start + cpu;
-    --rp.pending;
-    rp.acked.push_back(from);
-    if (rp.pending == 0) finish(round, proc_index);
-  }
-
-  void merge_in(const std::shared_ptr<Round>& round, std::uint32_t proc_index,
-                const std::shared_ptr<const Payload>& kept) {
-    RoundProc& rp = round->procs[proc_index];
-    if (caches_[proc_index].strand) {
-      rp.last_merge =
-          caches_[proc_index].strand->run([this, round, proc_index, kept]() {
-            ops_.base.merge_into(round->procs[proc_index].acc, Payload(*kept));
-          });
-    } else {
-      ops_.base.merge_into(rp.acc, Payload(*kept));
-    }
-  }
-
-  /// All children accounted for. A dirty proc folds its cached copies of the
-  /// acknowledged children (fixed child order), then packs and forwards the
-  /// re-merged payload; a clean proc forwards an ack. The front end
-  /// completes the round instead of forwarding.
-  void finish(const std::shared_ptr<Round>& round, std::uint32_t proc_index) {
-    RoundProc& rp = round->procs[proc_index];
-    if (!rp.dirty) {
-      ++round->cached_procs;
-      if (parent_of_[proc_index] < 0) {
-        complete(round, /*changed=*/false);
-        return;
-      }
-      const SimTime at = std::max(sim_.now(), rp.cpu_free_at) +
-                         ops_.ack_cpu;
-      sim_.schedule_at(
-          at, [this, round, proc_index]() { send_ack(round, proc_index); });
-      return;
-    }
-
-    ++round->remerged_procs;
-    for (const std::uint32_t child : last_contrib_[proc_index]) {
-      if (std::find(rp.acked.begin(), rp.acked.end(), child) ==
-          rp.acked.end()) {
-        continue;  // this child's payload already merged on arrival
-      }
-      const std::shared_ptr<const Payload> kept =
-          caches_[proc_index].by_child.at(child);
-      rp.cpu_free_at = std::max(sim_.now(), rp.cpu_free_at) +
-                       ops_.cached_merge_cpu(*kept);
-      merge_in(round, proc_index, kept);
-    }
-    const SimTime at = std::max(sim_.now(), rp.cpu_free_at);
-    sim_.schedule_at(at, [this, round, proc_index]() {
-      RoundProc& finished = round->procs[proc_index];
-      if (executor_) executor_->wait(finished.last_merge);
-      const std::uint64_t payload_bytes = ops_.base.wire_bytes(finished.acc);
-      if (parent_of_[proc_index] < 0) {
-        const SimTime packed_at =
-            sim_.now() + ops_.base.codec_cost(payload_bytes);
-        sim_.schedule_at(packed_at, [this, round]() {
-          last_out_ = std::make_shared<const Payload>(
-              std::move(round->procs[0].acc));
-          complete(round, /*changed=*/true);
-        });
-        return;
-      }
-      const std::uint64_t wire = delta_wire_bytes(payload_bytes);
-      const SimTime packed_at = sim_.now() + ops_.base.codec_cost(wire);
-      sim_.schedule_at(packed_at, [this, round, proc_index, wire]() {
-        Payload out = std::move(round->procs[proc_index].acc);
-        round->procs[proc_index].acc = Payload{};
-        send_payload(round, proc_index, std::move(out), wire);
-      });
-    });
-  }
-
-  void complete(const std::shared_ptr<Round>& round, bool changed) {
-    check(last_out_ != nullptr,
-          "StreamingReduction: clean round before any merged round");
-    round->completed = true;
-    StreamRoundResult<Payload> result;
-    result.payload = Payload(*last_out_);
-    result.changed = changed;
-    result.finished_at = sim_.now();
-    result.bytes_moved = round->bytes;
-    result.messages = round->messages;
-    result.changed_daemons = round->changed_daemons;
-    result.remerged_procs = round->remerged_procs;
-    result.cached_procs = round->cached_procs;
-    if (round->done) round->done(std::move(result));
-  }
-
-  sim::Simulator& sim_;
-  net::Network& net_;
-  const TbonTopology& topo_;
-  StreamOps<Payload> ops_;
-  sim::Executor* executor_;
-  bool full_remerge_ = false;
-
-  // Effective tree structure (recovery re-parents orphan leaves here).
-  std::vector<std::int32_t> parent_of_;
-  std::vector<std::vector<std::uint32_t>> children_of_;
-  std::vector<bool> dead_;
-  std::vector<bool> dead_daemons_;  // injected dead + lost-to-failure
-
-  // Incremental state surviving across rounds.
-  std::vector<ProcCache> caches_;
-  std::vector<std::vector<std::uint32_t>> last_contrib_;
-  std::vector<std::shared_ptr<const Payload>> last_payload_;  // by daemon
-  std::vector<bool> force_full_daemon_;
-  std::shared_ptr<const Payload> last_out_;  // FE accumulator cache
-
-  std::vector<Op> pending_ops_;
-  std::unordered_set<std::uint32_t> recovered_;
-  std::shared_ptr<Round> round_;
-};
-
-}  // namespace petastat::tbon

@@ -137,14 +137,6 @@ Result<DerivedLevels> derive_levels(const machine::MachineConfig& machine,
   return with_shard_levels(std::move(widths));
 }
 
-Result<std::vector<std::uint32_t>> derive_level_widths(
-    const machine::MachineConfig& machine, const TopologySpec& spec,
-    std::uint32_t num_daemons) {
-  auto levels = derive_levels(machine, spec, num_daemons);
-  if (!levels.is_ok()) return levels.status();
-  return std::move(levels).value().widths;
-}
-
 namespace {
 
 /// Lazily-built state for ReducerPlacement::kRoute: the machine's switch

@@ -208,11 +208,6 @@ struct DerivedLevels {
     const machine::MachineConfig& machine, const TopologySpec& spec,
     std::uint32_t num_daemons);
 
-/// derive_levels, widths only (the historical signature).
-[[nodiscard]] Result<std::vector<std::uint32_t>> derive_level_widths(
-    const machine::MachineConfig& machine, const TopologySpec& spec,
-    std::uint32_t num_daemons);
-
 /// Builds the process tree for `spec` on `machine`, placing comm processes
 /// under the machine's constraints. Fails when the machine cannot host the
 /// requested tree (e.g. login-node capacity on BG/L). A sharded spec

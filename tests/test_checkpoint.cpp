@@ -235,7 +235,7 @@ Status restore_status(std::shared_ptr<const SessionCheckpoint> cp,
                       const machine::MachineConfig& machine,
                       const machine::JobConfig& job,
                       const StatOptions& options) {
-  StatScenario scenario(machine, job, options, std::move(cp));
+  StatScenario scenario(machine, job, options, nullptr, std::move(cp));
   return scenario.config_status();
 }
 
@@ -333,7 +333,8 @@ TEST(RestoreSmoke, ResumedRunMatchesUninterruptedRun) {
   ASSERT_TRUE(uninterrupted.status.is_ok());
 
   const auto cp = organic_checkpoint();
-  StatScenario resumed_scenario(machine::atlas(), small_job(), options, cp);
+  StatScenario resumed_scenario(machine::atlas(), small_job(), options, nullptr,
+                               cp);
   const StatRunResult resumed = resumed_scenario.run();
   ASSERT_TRUE(resumed.status.is_ok()) << resumed.status.to_string();
   EXPECT_TRUE(resumed.restored);

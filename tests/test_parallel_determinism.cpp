@@ -136,6 +136,23 @@ std::vector<Cell> cells() {
     out.push_back(c);
   }
   {
+    // Mid-stream kill: the victim dies as round 2's merge starts, the monitor
+    // sweeps during the round, and the orphans' payloads are re-sent to
+    // adopters in that round — the in-round recovery and the re-parented
+    // caches of later rounds must match the serial run exactly.
+    Cell c{"atlas_imbalance_hier_2deep_stream_kill", machine::atlas(), {}, {}};
+    c.job.num_tasks = 256;
+    c.options.topology = tbon::TopologySpec::balanced(2);
+    c.options.repr = TaskSetRepr::kHierarchical;
+    c.options.app = AppKind::kImbalance;
+    c.options.evolution = app::TraceEvolution::kDrift;
+    c.options.stream_samples = 5;
+    c.options.stream_interval_seconds = 0.1;
+    c.options.fail_at_seconds = 0.15;
+    c.options.ping_period_seconds = 0.05;
+    out.push_back(c);
+  }
+  {
     // OOM cascade: the victim rank's daemon dies pre-sampling, survivors
     // produce the allocation-spiral / retransmit / barrier classes.
     Cell c{"atlas_oomcascade_hier_2deep", machine::atlas(), {}, {}};
@@ -256,7 +273,8 @@ TEST_P(ParallelDeterminism, RestoredRunMatchesSerialBitForBit) {
   const auto run_restore = [&](std::uint32_t n) {
     StatOptions options = cell.options;
     options.exec_threads = n;
-    StatScenario scenario(cell.machine, cell.job, options, killed.checkpoint);
+    StatScenario scenario(cell.machine, cell.job, options, nullptr,
+                          killed.checkpoint);
     return scenario.run();
   };
   const StatRunResult serial = run_restore(1);

@@ -154,6 +154,9 @@ TEST(HealthMonitor, StopSilencesTheSweep) {
 struct SumPayload {
   std::uint64_t sum = 0;
   std::uint32_t contributions = 0;
+
+  // The leaf's change detector in multi-round runs.
+  friend bool operator==(const SumPayload&, const SumPayload&) = default;
 };
 
 tbon::ReduceOps<SumPayload> sum_ops() {
@@ -286,6 +289,86 @@ TEST(ReductionRecovery, WholeShardOfDeadDaemonsStillCompletes) {
   EXPECT_EQ(result->payload.sum, expected);
   EXPECT_EQ(result->payload.contributions, 24u);
 }
+
+// A kill inside round k >= 1 of a multi-round run, with the victim's subtree
+// caches warm: the round the victim dies in re-sends its orphans' payloads
+// to adopters, and the re-parenting keeps every later round exact. Every
+// daemon carries a distinct value, so a leaf counted twice or missed shows as
+// a wrong sum or contribution count.
+class MultiRoundKill : public ::testing::TestWithParam<SimTime> {};
+
+TEST_P(MultiRoundKill, EveryRoundSumsEachLeafExactlyOnce) {
+  const SimTime kill_offset = GetParam();
+  const auto m = machine::atlas();
+  const auto layout = layout_of(m, 256);  // 32 daemons
+  const auto topo =
+      tbon::build_topology(m, layout, tbon::TopologySpec::balanced(2)).value();
+  const std::uint32_t victim = tbon::default_victim(topo);
+  std::uint32_t victim_leaves = 0;
+  for (const std::uint32_t c : topo.procs[victim].children) {
+    if (topo.procs[c].is_leaf()) ++victim_leaves;
+  }
+  ASSERT_GT(victim_leaves, 0u);
+
+  sim::Simulator simulator;
+  net::Network network(simulator, net::build_switch_graph(m));
+  tbon::StreamOps<SumPayload> ops;
+  ops.base = sum_ops();
+  ops.signature_cpu = [](const SumPayload&) { return SimTime{20}; };
+  ops.cached_merge_cpu = [](const SumPayload&) { return SimTime{30}; };
+  ops.ack_cpu = SimTime{5 * kMicrosecond};
+  tbon::StreamingReduction<SumPayload> engine(simulator, network, topo, ops);
+
+  constexpr std::uint32_t kRounds = 5;
+  constexpr std::uint32_t kKillRound = 2;
+  std::optional<tbon::RecoveryReport> report;
+  std::vector<std::uint64_t> value(layout.num_daemons);
+  for (std::uint32_t d = 0; d < layout.num_daemons; ++d) value[d] = d * 1000;
+  for (std::uint32_t round = 0; round < kRounds; ++round) {
+    // One daemon changes per round, so the other leaves acknowledge and
+    // most procs answer from their caches.
+    if (round > 0) value[(round * 7) % layout.num_daemons] += round;
+    std::vector<SumPayload> leaves(layout.num_daemons);
+    std::uint64_t expected = 0;
+    for (std::uint32_t d = 0; d < layout.num_daemons; ++d) {
+      leaves[d] = {value[d], 1};
+      expected += leaves[d].sum;
+    }
+    if (round == kKillRound) {
+      const SimTime kill_at = simulator.now() + kill_offset;
+      simulator.schedule_at(kill_at,
+                            [&engine, victim]() { engine.mark_dead(victim); });
+      simulator.schedule_at(kill_at + seconds(0.01), [&, victim]() {
+        report = engine.recover(victim);
+      });
+    }
+    std::optional<tbon::StreamRoundResult<SumPayload>> result;
+    engine.run_round(round, std::move(leaves),
+                     [&result](tbon::StreamRoundResult<SumPayload> r) {
+                       result = std::move(r);
+                     });
+    simulator.run();
+    SCOPED_TRACE("round " + std::to_string(round));
+    ASSERT_TRUE(result.has_value()) << "round stalled";
+    EXPECT_EQ(result->payload.sum, expected);
+    EXPECT_EQ(result->payload.contributions, layout.num_daemons);
+    if (round == 1) {
+      EXPECT_GT(result->cached_procs, 0u);  // caches warm before the kill
+    }
+  }
+  ASSERT_TRUE(report.has_value());
+  EXPECT_TRUE(report->acted);
+  EXPECT_EQ(report->orphan_daemons, victim_leaves);
+  EXPECT_EQ(report->lost_daemons, 0u);
+  EXPECT_GE(report->adopters, 1u);
+  for (const bool dead : engine.dead_daemons()) EXPECT_FALSE(dead);
+}
+
+// Kill before anything reaches the victim, while its children's arrivals
+// are in flight, and after the round completed (recovered between rounds).
+INSTANTIATE_TEST_SUITE_P(KillOffsets, MultiRoundKill,
+                         ::testing::Values(SimTime{10}, 60 * kMicrosecond,
+                                           seconds(1.0)));
 
 // --------------------------------------------------------------------------
 // Survivor-aware topology overloads.
@@ -573,6 +656,31 @@ TEST(ScenarioRecovery, MidStreamInternalKillRecoversWithNoLoss) {
   ASSERT_TRUE(remerge.status.is_ok()) << remerge.status.to_string();
   EXPECT_EQ(remerge.phases.killed_procs, 1u);
   expect_same_product(killed, remerge);
+}
+
+TEST(ScenarioRecovery, MidStreamInternalKillMatchesTheNeverKilledRun) {
+  // The round the victim dies in still carries its subtree's samples: the
+  // orphans' payloads are re-sent to adopters in that same round, so a kill
+  // that loses no daemon leaves the product bit-identical to the run that
+  // never failed.
+  machine::JobConfig job;
+  job.num_tasks = 256;
+  stat::StatOptions options = streaming_options();
+  stat::StatScenario baseline(machine::atlas(), job, options);
+  const stat::StatRunResult no_kill = baseline.run();
+  ASSERT_TRUE(no_kill.status.is_ok()) << no_kill.status.to_string();
+
+  options.fail_at_seconds = 0.15;
+  options.ping_period_seconds = 0.05;
+  stat::StatScenario killed_scenario(machine::atlas(), job, options);
+  const stat::StatRunResult killed = killed_scenario.run();
+  ASSERT_TRUE(killed.status.is_ok()) << killed.status.to_string();
+  EXPECT_EQ(killed.phases.killed_procs, 1u);
+  EXPECT_GT(killed.phases.orphaned_daemons, 0u);
+  EXPECT_EQ(killed.phases.lost_daemons, 0u);
+  EXPECT_GT(killed.phases.recovery_remerge_time, 0u);
+  ASSERT_EQ(killed.stream_samples.size(), no_kill.stream_samples.size());
+  expect_same_product(no_kill, killed);
 }
 
 TEST(ScenarioRecovery, MidStreamLeafDeathMatchesFullRemergeSurvivors) {

@@ -682,7 +682,7 @@ TEST_P(CheckpointRestartMatrix, KillAtEveryBoundaryRestoresBitIdentical) {
     EXPECT_TRUE(killed.classes.empty());  // vacated, not finalized
 
     StatOptions resume = checkpoint_options(c);
-    StatScenario resumed_scenario(m, job, resume, killed.checkpoint);
+    StatScenario resumed_scenario(m, job, resume, nullptr, killed.checkpoint);
     const StatRunResult resumed = resumed_scenario.run();
     ASSERT_TRUE(resumed.status.is_ok()) << resumed.status.to_string();
     EXPECT_TRUE(resumed.restored);
@@ -710,7 +710,7 @@ TEST_P(CheckpointRestartMatrix, ReshardedResumeStaysBitIdentical) {
   // over the checkpointed spec): the product must not move.
   StatOptions resume = checkpoint_options(c);
   resume.fe_shards = c.fe_shards == 1 ? 16 : 4;
-  StatScenario resumed_scenario(m, job, resume, killed.checkpoint);
+  StatScenario resumed_scenario(m, job, resume, nullptr, killed.checkpoint);
   const StatRunResult resumed = resumed_scenario.run();
   ASSERT_TRUE(resumed.status.is_ok()) << resumed.status.to_string();
   EXPECT_TRUE(resumed.restored);

@@ -168,34 +168,34 @@ TEST(Topology, ExplicitWidthsValidated) {
   EXPECT_TRUE(build_topology(m, layout, spec).is_ok());
 }
 
-TEST(Topology, DeriveLevelWidthsRejectsMalformedSpecsUpFront) {
+TEST(Topology, DeriveLevelsRejectsMalformedSpecsUpFront) {
   // The hardening contract: zero depth, zero-width levels, and explicit
   // widths beyond the machine's comm-process slots are INVALID_ARGUMENT at
-  // derive_level_widths — callers (planner enumeration included) never see
+  // derive_levels — callers (planner enumeration included) never see
   // a malformed width vector, let alone a downstream crash.
   const auto m = machine::bgl();
   TopologySpec spec;
   spec.depth = 0;
-  EXPECT_EQ(derive_level_widths(m, spec, 64).status().code(),
+  EXPECT_EQ(derive_levels(m, spec, 64).status().code(),
             StatusCode::kInvalidArgument);
 
   spec = TopologySpec();
   spec.depth = 2;
   spec.level_widths = {0};
-  EXPECT_EQ(derive_level_widths(m, spec, 64).status().code(),
+  EXPECT_EQ(derive_levels(m, spec, 64).status().code(),
             StatusCode::kInvalidArgument);
 
   spec.level_widths = {400};  // login tier holds 14 x 24 = 336
-  EXPECT_EQ(derive_level_widths(m, spec, 64).status().code(),
+  EXPECT_EQ(derive_levels(m, spec, 64).status().code(),
             StatusCode::kInvalidArgument);
 
   spec.level_widths = {24};
-  ASSERT_TRUE(derive_level_widths(m, spec, 64).is_ok());
-  EXPECT_EQ(derive_level_widths(m, spec, 64).value(),
+  ASSERT_TRUE(derive_levels(m, spec, 64).is_ok());
+  EXPECT_EQ(derive_levels(m, spec, 64).value().widths,
             (std::vector<std::uint32_t>{24}));
 
   // Zero daemons cannot anchor any tree.
-  EXPECT_EQ(derive_level_widths(m, TopologySpec::flat(), 0).status().code(),
+  EXPECT_EQ(derive_levels(m, TopologySpec::flat(), 0).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -317,8 +317,8 @@ TEST(Topology, ShardTaskCountsCoverTheJob) {
 TEST(Topology, ZeroShardsRejectedUpFront) {
   const auto m = machine::atlas();
   TopologySpec spec = TopologySpec::flat().with_shards(0);
-  const auto widths = derive_level_widths(m, spec, 32);
-  EXPECT_EQ(widths.status().code(), StatusCode::kInvalidArgument);
+  const auto levels = derive_levels(m, spec, 32);
+  EXPECT_EQ(levels.status().code(), StatusCode::kInvalidArgument);
   EXPECT_FALSE(build_topology(m, layout_of(m, 256), spec).is_ok());
 }
 
@@ -339,8 +339,8 @@ TEST(Topology, ReducersCountAgainstCommSlots) {
   spec.depth = 2;
   spec.level_widths = {334};
   spec.fe_shards = 4;
-  const auto widths = derive_level_widths(m, spec, 1024);
-  EXPECT_EQ(widths.status().code(), StatusCode::kInvalidArgument);
+  const auto levels = derive_levels(m, spec, 1024);
+  EXPECT_EQ(levels.status().code(), StatusCode::kInvalidArgument);
 }
 
 // --------------------------------------------------------------------------
@@ -679,6 +679,51 @@ TEST(Reduction, DeeperTreesReduceFrontEndWork) {
   };
 
   EXPECT_LT(run_depth(2), run_depth(1));
+}
+
+TEST(Reduction, StartIsRoundZeroOfTheSameEngine) {
+  // The classic merge is round 0 of a run with no baselines: start() and a
+  // lone run_round(0, ...) on an engine built from the same ReduceOps move
+  // the same messages and bytes and finish at the same virtual time.
+  const auto m = machine::atlas();
+  const auto layout = layout_of(m, 1024);
+  const auto topo = build_topology(m, layout, TopologySpec::balanced(3)).value();
+  std::vector<SumPayload> leaves(layout.num_daemons);
+  for (std::uint32_t d = 0; d < layout.num_daemons; ++d) {
+    leaves[d] = {static_cast<std::uint64_t>(d) * 3 + 7, 1};
+  }
+
+  const auto run = [&](bool classic) {
+    sim::Simulator simulator;
+    net::Network network(simulator, net::build_switch_graph(m));
+    Reduction<SumPayload> reduction(simulator, network, topo, sum_ops());
+    std::optional<ReduceResult<SumPayload>> result;
+    const auto done = [&result](ReduceResult<SumPayload> r) {
+      result = std::move(r);
+    };
+    if (classic) {
+      reduction.start(leaves, done);
+    } else {
+      reduction.run_round(0, leaves, done);
+    }
+    simulator.run();
+    EXPECT_TRUE(result.has_value());
+    return result.value_or(ReduceResult<SumPayload>{});
+  };
+
+  const ReduceResult<SumPayload> classic = run(true);
+  const ReduceResult<SumPayload> round0 = run(false);
+  EXPECT_EQ(classic.payload.sum, round0.payload.sum);
+  EXPECT_EQ(classic.payload.contributions, layout.num_daemons);
+  EXPECT_EQ(round0.payload.contributions, layout.num_daemons);
+  EXPECT_EQ(classic.messages, round0.messages);
+  EXPECT_EQ(classic.messages, topo.procs.size() - 1);
+  EXPECT_EQ(classic.bytes_moved, round0.bytes_moved);
+  EXPECT_EQ(classic.bytes_moved, 64u * (topo.procs.size() - 1));
+  EXPECT_EQ(classic.finished_at, round0.finished_at);
+  EXPECT_TRUE(round0.changed);
+  EXPECT_EQ(round0.changed_daemons, layout.num_daemons);
+  EXPECT_EQ(round0.cached_procs, 0u);
 }
 
 TEST(Reduction, PayloadCountMismatchThrows) {

@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
     restore = std::move(loaded).value();
   }
   stat::StatScenario scenario(config.machine, config.job, config.options,
-                              std::move(restore));
+                              /*executor=*/nullptr, std::move(restore));
   const stat::StatRunResult result = scenario.run();
   const auto& frames = scenario.app().frames();
 
