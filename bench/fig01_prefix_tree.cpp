@@ -45,12 +45,8 @@ int main(int argc, char** argv) {
     std::printf("  %s\n", stat::describe(cls, frames).c_str());
   }
 
-  std::printf("\nDOT rendering written to fig01_tree.dot\n");
-  if (std::FILE* f = std::fopen("fig01_tree.dot", "w")) {
-    const std::string dot = stat::to_dot(run.tree_3d, frames);
-    std::fwrite(dot.data(), 1, dot.size(), f);
-    std::fclose(f);
-  }
+  std::printf("\nDOT rendering:\n%s",
+              stat::to_dot(run.tree_3d, frames).c_str());
 
   bool task1_alone = false, task2_alone = false, barrier_crowd = false;
   for (const auto& cls : run.classes) {

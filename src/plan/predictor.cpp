@@ -50,44 +50,31 @@ double WorkloadProfile::tree_nodes_for(double daemons) const {
 
 namespace {
 
-/// Synthesizes one daemon's trace payload exactly as the scenario's sampling
-/// sink would, for either label representation.
+// Wire bytes of the two probe leaf types: one daemon's batched 2D+3D
+// payload over every sample, and its single-sample stream snapshot.
 template <typename Label>
-stat::StatPayload<Label> synthesize_payload(const app::AppModel& app,
-                                            const machine::DaemonLayout& layout,
-                                            const stat::TaskMap& task_map,
-                                            std::uint32_t daemon,
-                                            std::uint32_t num_samples,
-                                            double& frames_sum,
-                                            std::uint64_t& trace_count) {
-  stat::StatPayload<Label> payload;
-  const std::uint32_t count = layout.tasks_of(DaemonId(daemon));
-  const std::uint32_t threads = app.threads_per_task();
-  for (std::uint32_t s = 0; s < num_samples; ++s) {
-    for (std::uint32_t t = 0; t < count; ++t) {
-      const TaskId task = TaskId(task_map.global_rank(daemon, t));
-      for (std::uint32_t th = 0; th < threads; ++th) {
-        const app::CallPath path = app.stack(task, th, s);
-        frames_sum += static_cast<double>(path.size());
-        ++trace_count;
-        stat::insert_trace(payload, path, daemon, t, task, s);
-      }
-    }
-  }
-  return payload;
+std::uint64_t leaf_wire_bytes(const stat::StatPayload<Label>& payload,
+                              const app::FrameTable& frames,
+                              const stat::LabelContext& ctx) {
+  return stat::payload_wire_bytes(payload, frames, ctx);
+}
+template <typename Label>
+std::uint64_t leaf_wire_bytes(const stat::StreamSnapshot<Label>& snapshot,
+                              const app::FrameTable& frames,
+                              const stat::LabelContext& ctx) {
+  return stat::snapshot_wire_bytes(snapshot, frames, ctx);
 }
 
-template <typename Label>
-void profile_with_label(const app::AppModel& app,
-                        const machine::DaemonLayout& layout,
-                        const stat::TaskMap& task_map,
-                        const stat::StatOptions& options,
-                        WorkloadProfile& profile) {
+/// Synthesizes the first 1, 2, 4, 8 daemons' leaves (capped at the job
+/// size) exactly as the scenario's sampling sinks would — enough to see
+/// whether payloads grow with the subtree (hier) or saturate (dense).
+template <typename Leaf>
+void probe_leaves(const app::AppModel& app, const machine::DaemonLayout& layout,
+                  const stat::TaskMap& task_map, std::uint32_t num_samples,
+                  WorkloadProfile& profile) {
   const stat::LabelContext ctx{layout.num_tasks};
   const app::FrameTable& frames = app.frames();
 
-  // Probe the first 1, 2, 4, 8 daemons (capped at the job size): enough to
-  // see whether payloads grow with the subtree (hier) or saturate (dense).
   std::vector<std::uint32_t> ks;
   for (std::uint32_t k = 1; k <= layout.num_daemons && k <= 8; k *= 2) {
     ks.push_back(k);
@@ -100,107 +87,63 @@ void profile_with_label(const app::AppModel& app,
   std::uint64_t traces = 0;
   double leaf_bytes_sum = 0.0;
   double leaf_nodes_sum = 0.0;
-  stat::StatPayload<Label> merged;
+  Leaf merged;
   std::uint32_t merged_daemons = 0;
   for (const std::uint32_t k : ks) {
     for (std::uint32_t d = merged_daemons; d < k; ++d) {
-      stat::StatPayload<Label> leaf = synthesize_payload<Label>(
-          app, layout, task_map, d, options.num_samples, frames_sum, traces);
-      leaf_bytes_sum +=
-          static_cast<double>(payload_wire_bytes(leaf, frames, ctx));
-      leaf_nodes_sum += static_cast<double>(leaf.tree_2d.node_count() +
-                                            leaf.tree_3d.node_count());
-      merged.tree_2d.merge(leaf.tree_2d);
-      merged.tree_3d.merge(leaf.tree_3d);
+      Leaf leaf;
+      const std::uint32_t count = layout.tasks_of(DaemonId(d));
+      const std::uint32_t threads = app.threads_per_task();
+      for (std::uint32_t s = 0; s < num_samples; ++s) {
+        for (std::uint32_t t = 0; t < count; ++t) {
+          const TaskId task = TaskId(task_map.global_rank(d, t));
+          for (std::uint32_t th = 0; th < threads; ++th) {
+            const app::CallPath path = app.stack(task, th, s);
+            frames_sum += static_cast<double>(path.size());
+            ++traces;
+            stat::insert_trace(leaf, path, d, t, task, s);
+          }
+        }
+      }
+      leaf_bytes_sum += static_cast<double>(leaf_wire_bytes(leaf, frames, ctx));
+      leaf_nodes_sum += static_cast<double>(leaf.node_count());
+      merged.merge(leaf);
     }
     merged_daemons = k;
     profile.probe_counts.push_back(k);
     profile.merged_payload_bytes.push_back(
-        static_cast<double>(payload_wire_bytes(merged, frames, ctx)));
-    profile.merged_tree_nodes.push_back(static_cast<double>(
-        merged.tree_2d.node_count() + merged.tree_3d.node_count()));
+        static_cast<double>(leaf_wire_bytes(merged, frames, ctx)));
+    profile.merged_tree_nodes.push_back(
+        static_cast<double>(merged.node_count()));
   }
 
   profile.avg_frames_per_trace =
       traces > 0 ? frames_sum / static_cast<double>(traces) : 0.0;
-  profile.traces_per_daemon =
-      traces / std::max<std::uint64_t>(1, merged_daemons);
+  profile.traces_per_daemon = traces / merged_daemons;
   profile.leaf_payload_bytes = leaf_bytes_sum / merged_daemons;
   profile.leaf_tree_nodes = leaf_nodes_sum / merged_daemons;
 }
 
-/// Synthesizes one daemon's single-sample streaming snapshot exactly as the
-/// scenario's streaming sink would (stat::StreamSnapshot: one tree, label
-/// seeded per representation).
 template <typename Label>
-stat::StreamSnapshot<Label> synthesize_snapshot(
-    const app::AppModel& app, const machine::DaemonLayout& layout,
-    const stat::TaskMap& task_map, std::uint32_t daemon) {
-  stat::StreamSnapshot<Label> snapshot;
-  const std::uint32_t count = layout.tasks_of(DaemonId(daemon));
-  const std::uint32_t threads = app.threads_per_task();
-  for (std::uint32_t t = 0; t < count; ++t) {
-    const TaskId task = TaskId(task_map.global_rank(daemon, t));
-    for (std::uint32_t th = 0; th < threads; ++th) {
-      const app::CallPath path = app.stack(task, th, /*sample=*/0);
-      Label seed;
-      if constexpr (std::is_same_v<Label, stat::GlobalLabel>) {
-        seed = stat::GlobalLabel::for_task(task.value());
-      } else {
-        seed = stat::HierLabel::for_local(daemon, t);
-      }
-      snapshot.tree.insert(path, seed);
-    }
+void probe_with_label(const app::AppModel& app,
+                      const machine::DaemonLayout& layout,
+                      const stat::TaskMap& task_map,
+                      std::uint32_t num_samples, ProbeLeaf leaf,
+                      WorkloadProfile& profile) {
+  if (leaf == ProbeLeaf::kStreamSnapshot) {
+    probe_leaves<stat::StreamSnapshot<Label>>(app, layout, task_map, 1,
+                                              profile);
+  } else {
+    probe_leaves<stat::StatPayload<Label>>(app, layout, task_map, num_samples,
+                                           profile);
   }
-  return snapshot;
-}
-
-template <typename Label>
-void stream_profile_with_label(const app::AppModel& app,
-                               const machine::DaemonLayout& layout,
-                               const stat::TaskMap& task_map,
-                               WorkloadProfile& profile) {
-  const stat::LabelContext ctx{layout.num_tasks};
-  const app::FrameTable& frames = app.frames();
-
-  std::vector<std::uint32_t> ks;
-  for (std::uint32_t k = 1; k <= layout.num_daemons && k <= 8; k *= 2) {
-    ks.push_back(k);
-  }
-  if (ks.back() < layout.num_daemons && ks.back() < 8) {
-    ks.push_back(layout.num_daemons);
-  }
-
-  double leaf_bytes_sum = 0.0;
-  double leaf_nodes_sum = 0.0;
-  stat::StreamSnapshot<Label> merged;
-  std::uint32_t merged_daemons = 0;
-  for (const std::uint32_t k : ks) {
-    for (std::uint32_t d = merged_daemons; d < k; ++d) {
-      stat::StreamSnapshot<Label> leaf =
-          synthesize_snapshot<Label>(app, layout, task_map, d);
-      leaf_bytes_sum +=
-          static_cast<double>(stat::snapshot_wire_bytes(leaf, frames, ctx));
-      leaf_nodes_sum += static_cast<double>(leaf.tree.node_count());
-      merged.tree.merge(leaf.tree);
-    }
-    merged_daemons = k;
-    profile.probe_counts.push_back(k);
-    profile.merged_payload_bytes.push_back(
-        static_cast<double>(stat::snapshot_wire_bytes(merged, frames, ctx)));
-    profile.merged_tree_nodes.push_back(
-        static_cast<double>(merged.tree.node_count()));
-  }
-  profile.leaf_payload_bytes = leaf_bytes_sum / merged_daemons;
-  profile.leaf_tree_nodes = leaf_nodes_sum / merged_daemons;
 }
 
 // --- Probe memoization -----------------------------------------------------
-// One process-wide cache for both probe kinds (batched payloads and streaming
-// snapshots), keyed on every input that determines the synthesized traces.
-// Deliberately global (see the profile_workload contract in the header): the
-// probes are pure functions of the key, so caching them never couples
-// co-resident sessions.
+// One process-wide cache for both probe leaf types, keyed on every input
+// that determines the synthesized traces. Deliberately global (see the
+// profile_workload contract in the header): the probes are pure functions
+// of the key, so caching them never couples co-resident sessions.
 
 struct ProfileCache {
   std::mutex mu;
@@ -213,17 +156,17 @@ ProfileCache& profile_cache() {
   return cache;
 }
 
-/// Everything the synthesized probe traces depend on: the app model's inputs
-/// (kind, seed, evolution, binary layout, machine shape via bgl_frames and
-/// the daemon layout), the task map, and the sampling window. Login-tier
-/// capacity fields are deliberately absent — the service scheduler prices
-/// sessions against contended "effective machines" that differ only in those,
-/// and the probes are identical across them.
-std::string profile_cache_key(const char* kind,
+/// Everything the synthesized probe traces depend on: the leaf type, the app
+/// model's inputs (kind, seed, evolution, binary layout, machine shape via
+/// bgl_frames and the daemon layout), the task map, and the sampling window.
+/// Login-tier capacity fields are deliberately absent — the service
+/// scheduler prices sessions against contended "effective machines" that
+/// differ only in those, and the probes are identical across them.
+std::string profile_cache_key(ProbeLeaf leaf,
                               const machine::MachineConfig& machine,
                               const machine::JobConfig& job,
                               const stat::StatOptions& options) {
-  std::string key(kind);
+  std::string key(leaf == ProbeLeaf::kStreamSnapshot ? "stream" : "batched");
   key += '|';
   key += machine.name;
   const auto add = [&key](std::uint64_t v) {
@@ -251,13 +194,14 @@ std::string profile_cache_key(const char* kind,
   return key;
 }
 
-template <typename Measure>
-WorkloadProfile cached_profile(const char* kind,
-                               const machine::MachineConfig& machine,
-                               const machine::JobConfig& job,
-                               const stat::StatOptions& options,
-                               Measure measure) {
-  const std::string key = profile_cache_key(kind, machine, job, options);
+}  // namespace
+
+WorkloadProfile profile_workload(const machine::MachineConfig& machine,
+                                 const machine::JobConfig& job,
+                                 const machine::DaemonLayout& layout,
+                                 const stat::StatOptions& options,
+                                 ProbeLeaf leaf) {
+  const std::string key = profile_cache_key(leaf, machine, job, options);
   ProfileCache& cache = profile_cache();
   {
     std::lock_guard<std::mutex> lock(cache.mu);
@@ -269,66 +213,28 @@ WorkloadProfile cached_profile(const char* kind,
   }
   // Synthesize outside the lock: probes are deterministic, so a racing miss
   // on the same key just computes the same value twice.
-  WorkloadProfile profile = measure();
+  WorkloadProfile profile;
+  const auto app = stat::make_app_model(machine, job, options);
+  const stat::TaskMap task_map =
+      options.shuffle_task_map ? stat::TaskMap::shuffled(layout, options.seed)
+                               : stat::TaskMap::identity(layout);
+  if (options.repr == stat::TaskSetRepr::kDenseGlobal) {
+    probe_with_label<stat::GlobalLabel>(*app, layout, task_map,
+                                        options.num_samples, leaf, profile);
+  } else {
+    probe_with_label<stat::HierLabel>(*app, layout, task_map,
+                                      options.num_samples, leaf, profile);
+  }
+  for (const auto& image : app->binaries().images) {
+    profile.symbol_image_bytes += image.bytes;
+    if (image.path.rfind("/nfs", 0) == 0) {
+      profile.shared_fs_image_bytes += image.bytes;
+    }
+  }
   std::lock_guard<std::mutex> lock(cache.mu);
   ++cache.counters.misses;
   cache.entries.emplace(key, profile);
   return profile;
-}
-
-/// Measures the single-sample snapshot sizes the streaming delta rounds
-/// move — the --stream counterpart of profile_workload (which measures the
-/// batched 2D+3D payload across all samples). Memoized like it, too.
-WorkloadProfile profile_stream_workload(const machine::MachineConfig& machine,
-                                        const machine::JobConfig& job,
-                                        const machine::DaemonLayout& layout,
-                                        const stat::StatOptions& options) {
-  return cached_profile("stream", machine, job, options, [&]() {
-    WorkloadProfile profile;
-    const auto app = stat::make_app_model(machine, job, options);
-    const stat::TaskMap task_map =
-        options.shuffle_task_map
-            ? stat::TaskMap::shuffled(layout, options.seed)
-            : stat::TaskMap::identity(layout);
-    if (options.repr == stat::TaskSetRepr::kDenseGlobal) {
-      stream_profile_with_label<stat::GlobalLabel>(*app, layout, task_map,
-                                                   profile);
-    } else {
-      stream_profile_with_label<stat::HierLabel>(*app, layout, task_map,
-                                                 profile);
-    }
-    return profile;
-  });
-}
-
-}  // namespace
-
-WorkloadProfile profile_workload(const machine::MachineConfig& machine,
-                                 const machine::JobConfig& job,
-                                 const machine::DaemonLayout& layout,
-                                 const stat::StatOptions& options) {
-  return cached_profile("batched", machine, job, options, [&]() {
-    WorkloadProfile profile;
-    const auto app = stat::make_app_model(machine, job, options);
-    const stat::TaskMap task_map =
-        options.shuffle_task_map
-            ? stat::TaskMap::shuffled(layout, options.seed)
-            : stat::TaskMap::identity(layout);
-    if (options.repr == stat::TaskSetRepr::kDenseGlobal) {
-      profile_with_label<stat::GlobalLabel>(*app, layout, task_map, options,
-                                            profile);
-    } else {
-      profile_with_label<stat::HierLabel>(*app, layout, task_map, options,
-                                          profile);
-    }
-    for (const auto& image : app->binaries().images) {
-      profile.symbol_image_bytes += image.bytes;
-      if (image.path.rfind("/nfs", 0) == 0) {
-        profile.shared_fs_image_bytes += image.bytes;
-      }
-    }
-    return profile;
-  });
 }
 
 ProfileCacheCounters profile_cache_counters() {
@@ -359,8 +265,8 @@ PhasePredictor::PhasePredictor(machine::MachineConfig machine,
       layout_(layout),
       graph_(net::build_switch_graph(machine_)),
       profile_(profile_workload(machine_, job_, layout_, options_)),
-      stream_profile_(
-          profile_stream_workload(machine_, job_, layout_, options_)) {
+      stream_profile_(profile_workload(machine_, job_, layout_, options_,
+                                       ProbeLeaf::kStreamSnapshot)) {
   // Fold the per-run connection override into the config (mirrors
   // StatScenario): the reducer-tree fan-in clamp in tbon::derive_levels and
   // every viability check must see the same limit, or the planner would
@@ -481,125 +387,27 @@ Result<PhasePrediction> PhasePredictor::predict(
   p.sampling = predict_sampling();
 
   // --- Merge ---------------------------------------------------------------
-  // Connection-limit viability (the Sec. V-A failures the paper observed):
-  // the exact check — and the exact limit, per-run override included — the
-  // simulator runs, so the two can never disagree.
+  // Connection-limit and receive-buffer viability (the Sec. V-A failures the
+  // paper observed): the exact checks — and the exact limits, per-run
+  // override included — the simulator runs, so the two can never disagree.
   if (p.viability.is_ok()) {
     p.viability = tbon::connection_viability(
         topo, options_.max_frontend_connections.value_or(
                   machine_.max_tool_connections));
   }
-
-  // Subtree daemon coverage per proc (children always index after parents).
-  const std::size_t n = topo.procs.size();
-  std::vector<double> daemons_under(n, 0.0);
-  for (std::size_t i = n; i-- > 0;) {
-    const auto& proc = topo.procs[i];
-    if (proc.is_leaf()) {
-      daemons_under[i] = 1.0;
-    } else {
-      for (const std::uint32_t c : proc.children) {
-        daemons_under[i] += daemons_under[c];
-      }
-    }
+  if (p.viability.is_ok()) {
+    const auto leaf_bytes =
+        static_cast<std::uint64_t>(profile_.leaf_payload_bytes);
+    p.viability = tbon::rx_buffer_viability(
+        topo, costs_.merge.frontend_rx_buffer_bytes,
+        [leaf_bytes](std::uint32_t) { return leaf_bytes; });
   }
 
-  const auto bytes_of = [&](std::size_t i) {
-    return topo.procs[i].is_leaf() ? profile_.leaf_payload_bytes
-                                   : profile_.payload_bytes_for(daemons_under[i]);
-  };
-  const auto nodes_of = [&](std::size_t i) {
-    return topo.procs[i].is_leaf() ? profile_.leaf_tree_nodes
-                                   : profile_.tree_nodes_for(daemons_under[i]);
-  };
-
-  // Receive-buffer viability at every merge root: the front end, and each
-  // reducer of a sharded front end (mirrors the scenario's check).
-  std::vector<std::uint32_t> merge_roots{0};
-  merge_roots.insert(merge_roots.end(), topo.reducers.begin(),
-                     topo.reducers.end());
-  for (const std::uint32_t root : merge_roots) {
-    std::uint64_t leaf_incoming = 0;
-    for (const std::uint32_t child : topo.procs[root].children) {
-      if (topo.procs[child].is_leaf()) {
-        leaf_incoming += static_cast<std::uint64_t>(bytes_of(child));
-      }
-    }
-    if (p.viability.is_ok() &&
-        leaf_incoming > costs_.merge.frontend_rx_buffer_bytes) {
-      p.viability = resource_exhausted(
-          std::string(root == 0 ? "front-end" : "reducer") +
-          " receive buffers overflow: " + std::to_string(leaf_incoming) +
-          " bytes inbound");
-    }
-  }
-
-  // Level-by-level critical path of the reduction: within one level, each
-  // parent's single core unpacks/merges its children serially, and every
-  // link device a child's route crosses drains its serialization serially
-  // (the Network's congestion mechanism — host access links subsume the old
-  // per-NIC queueing, shared trunks add the wiring contention: two children
-  // behind one oversubscribed uplink queue on it even when their parents
-  // differ). Levels complete bottom-up.
-  struct LevelCost {
-    double worst_cpu_s = 0.0;
-    double worst_latency_s = 0.0;
-    std::unordered_map<std::uint64_t, double> device_s;  // per link device
-  };
-  std::vector<LevelCost> levels(topo.depth);
-  const double msg_overhead_s = to_seconds(graph_.per_message_overhead());
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& parent = topo.procs[i];
-    if (parent.children.empty()) continue;
-    LevelCost& level = levels[parent.level];
-    double cpu_s = 0.0;
-    for (const std::uint32_t c : parent.children) {
-      const double child_bytes = bytes_of(c);
-      const auto wire = static_cast<std::uint64_t>(child_bytes);
-      if (topo.sharded() && i == 0) {
-        // Final combine at the true front end. shard_combine_cost is the
-        // codec+merge charge of the branch below by construction — the
-        // combine is cheap because only K shard payloads arrive here, not
-        // because an arrival costs less; the named formula just keeps the
-        // sharded pricing anchored in machine/cost_model.
-        cpu_s += to_seconds(machine::shard_combine_cost(
-            costs_.merge, static_cast<std::uint64_t>(nodes_of(c)), wire));
-      } else {
-        cpu_s += to_seconds(machine::packet_codec_cost(costs_.merge, wire));
-        cpu_s += to_seconds(machine::filter_merge_cost(
-            costs_.merge, static_cast<std::uint64_t>(nodes_of(c)), wire));
-      }
-      const net::Route route =
-          net::route_between(graph_, topo.procs[c].host, parent.host);
-      const double ser_s = child_bytes / net::bottleneck_rate(route);
-      for (const net::RouteHop& hop : route) {
-        level.device_s[hop.device] += ser_s;
-      }
-      level.worst_latency_s =
-          std::max(level.worst_latency_s,
-                   to_seconds(net::route_latency(route)) + msg_overhead_s);
-    }
-    if (parent.parent >= 0) {
-      // Internal procs pack their accumulator before forwarding it.
-      cpu_s += to_seconds(machine::packet_codec_cost(
-          costs_.merge, static_cast<std::uint64_t>(bytes_of(i))));
-    }
-    level.worst_cpu_s = std::max(level.worst_cpu_s, cpu_s);
-  }
-
-  // Leaves pack in parallel, then each level gates the next, its network
-  // side bounded by the single most-contended link device.
-  double merge_s = to_seconds(machine::packet_codec_cost(
-      costs_.merge, static_cast<std::uint64_t>(profile_.leaf_payload_bytes)));
-  for (std::size_t l = levels.size(); l-- > 0;) {
-    const LevelCost& level = levels[l];
-    double worst_link_s = 0.0;
-    for (const auto& [device, s] : level.device_s) {
-      worst_link_s = std::max(worst_link_s, s);
-    }
-    merge_s += level.worst_latency_s + std::max(level.worst_cpu_s, worst_link_s);
-  }
-  p.merge = seconds(merge_s);
+  // The classic merge is the engine's all-changed round with no stream
+  // charges (StreamOps built from a plain ReduceOps).
+  p.merge = price_round(topo, std::vector<bool>(layout_.num_daemons, true),
+                        /*stream=*/false, nullptr)
+                .merge;
 
   if (options_.repr == stat::TaskSetRepr::kHierarchical) {
     if (topo.sharded()) {
@@ -612,44 +420,159 @@ Result<PhasePrediction> PhasePredictor::predict(
   return p;
 }
 
-Result<std::vector<LinkBytesPrediction>>
-PhasePredictor::predict_merge_link_bytes(const tbon::TopologySpec& spec) const {
-  auto topo_result = tbon::build_topology(machine_, layout_, spec);
-  if (!topo_result.is_ok()) return topo_result.status();
-  const tbon::TbonTopology& topo = topo_result.value();
+StreamSamplePrediction PhasePredictor::price_round(
+    const tbon::TbonTopology& topo, const std::vector<bool>& daemon_changed,
+    bool stream,
+    std::unordered_map<std::uint64_t, LinkBytesPrediction>* links) const {
+  const WorkloadProfile& profile = stream ? stream_profile_ : profile_;
+  const std::uint64_t header_bytes = stream ? tbon::kDeltaHeaderBytes : 0;
+  StreamSamplePrediction p;
 
+  // Subtree coverage and dirtiness, bottom-up (children index after
+  // parents). A proc is dirty — it re-merges and forwards its subtree
+  // payload — exactly when some daemon under it changed.
   const std::size_t n = topo.procs.size();
   std::vector<double> daemons_under(n, 0.0);
+  std::vector<bool> dirty(n, false);
+  for (std::uint32_t d = 0; d < layout_.num_daemons; ++d) {
+    if (!daemon_changed[d]) continue;
+    dirty[topo.leaf_of_daemon[d]] = true;
+    ++p.changed_daemons;
+  }
   for (std::size_t i = n; i-- > 0;) {
     const auto& proc = topo.procs[i];
     if (proc.is_leaf()) {
       daemons_under[i] = 1.0;
+      continue;
+    }
+    for (const std::uint32_t c : proc.children) {
+      daemons_under[i] += daemons_under[c];
+      if (dirty[c]) dirty[i] = true;
+    }
+    if (dirty[i]) {
+      ++p.remerged_procs;
     } else {
-      for (const std::uint32_t c : proc.children) {
-        daemons_under[i] += daemons_under[c];
-      }
+      ++p.cached_procs;
     }
   }
 
-  // One upward transfer per tree edge — exactly the merge phase's traffic —
-  // charged to every device along the child->parent route, the same walk
-  // Network::transfer reserves.
-  std::unordered_map<std::uint64_t, LinkBytesPrediction> priced;
+  const auto bytes_of = [&](std::size_t i) {
+    return topo.procs[i].is_leaf() ? profile.leaf_payload_bytes
+                                   : profile.payload_bytes_for(daemons_under[i]);
+  };
+  const auto nodes_of = [&](std::size_t i) {
+    return static_cast<std::uint64_t>(
+        topo.procs[i].is_leaf() ? profile.leaf_tree_nodes
+                                : profile.tree_nodes_for(daemons_under[i]));
+  };
+
+  // Level-by-level critical path of the round: within one level, each
+  // parent's single core unpacks/merges its children serially, and every
+  // link device a child's route crosses drains its serialization serially
+  // (the Network's congestion mechanism — host access links subsume per-NIC
+  // queueing, shared trunks add the wiring contention: two children behind
+  // one oversubscribed uplink queue on it even when their parents differ).
+  // Levels complete bottom-up.
+  struct LevelCost {
+    double worst_cpu_s = 0.0;
+    double worst_latency_s = 0.0;
+    std::unordered_map<std::uint64_t, double> device_s;  // per link device
+  };
+  std::vector<LevelCost> levels(topo.depth);
+  const double msg_overhead_s = to_seconds(graph_.per_message_overhead());
+  const double ack_codec_s =
+      to_seconds(machine::control_packet_cost(costs_.stream));
   for (std::size_t i = 0; i < n; ++i) {
     const auto& parent = topo.procs[i];
+    if (parent.children.empty()) continue;
+    LevelCost& level = levels[parent.level];
+    double cpu_s = 0.0;
     for (const std::uint32_t c : parent.children) {
-      const double child_bytes =
-          topo.procs[c].is_leaf() ? profile_.leaf_payload_bytes
-                                  : profile_.payload_bytes_for(daemons_under[c]);
-      for (const net::RouteHop& hop :
-           net::route_between(graph_, topo.procs[c].host, parent.host)) {
-        LinkBytesPrediction& entry = priced[hop.device];
-        entry.device = hop.device;
-        entry.bytes += child_bytes;
-        ++entry.messages;
+      const auto payload_wire = static_cast<std::uint64_t>(bytes_of(c));
+      const std::uint64_t wire =
+          dirty[c] ? header_bytes + payload_wire : tbon::kDeltaAckBytes;
+      if (dirty[c]) {
+        cpu_s += to_seconds(machine::packet_codec_cost(costs_.merge, wire));
+        cpu_s += to_seconds(machine::filter_merge_cost(
+            costs_.merge, nodes_of(c), payload_wire));
+      } else if (dirty[i]) {
+        // A dirty parent handles the cheap acks while still waiting on its
+        // changed children's payloads — off the critical path — and folds
+        // the cached copies once all children are accounted for.
+        cpu_s += to_seconds(machine::cached_merge_cost(
+            costs_.merge, costs_.stream, nodes_of(c), payload_wire));
+      } else {
+        cpu_s += ack_codec_s;
       }
+      p.delta_bytes += wire;
+      const net::Route route =
+          net::route_between(graph_, topo.procs[c].host, parent.host);
+      const double ser_s =
+          static_cast<double>(wire) / net::bottleneck_rate(route);
+      for (const net::RouteHop& hop : route) {
+        level.device_s[hop.device] += ser_s;
+        if (links != nullptr) {
+          LinkBytesPrediction& entry = (*links)[hop.device];
+          entry.device = hop.device;
+          entry.bytes += static_cast<double>(wire);
+          ++entry.messages;
+        }
+      }
+      level.worst_latency_s =
+          std::max(level.worst_latency_s,
+                   to_seconds(net::route_latency(route)) + msg_overhead_s);
     }
+    // A dirty proc packs its re-merged payload (the front end adds no
+    // header); a clean one forwards an ack, and a clean front end answers
+    // from its cache for free.
+    if (dirty[i]) {
+      const std::uint64_t header = parent.parent >= 0 ? header_bytes : 0;
+      cpu_s += to_seconds(machine::packet_codec_cost(
+          costs_.merge, header + static_cast<std::uint64_t>(bytes_of(i))));
+    } else if (parent.parent >= 0) {
+      cpu_s += ack_codec_s;
+    }
+    level.worst_cpu_s = std::max(level.worst_cpu_s, cpu_s);
   }
+
+  // A stream's leaves hash their snapshots first; then the slowest leaf is
+  // a changed one (its pack dwarfs an ack's) whenever any changed. Leaves
+  // pack in parallel, then each level gates the next, its network side
+  // bounded by the single most-contended link device.
+  double merge_s = stream ? to_seconds(machine::signature_cost(
+                                costs_.stream, static_cast<std::uint64_t>(
+                                                   profile.leaf_tree_nodes)))
+                          : 0.0;
+  merge_s += p.changed_daemons > 0
+                 ? to_seconds(machine::packet_codec_cost(
+                       costs_.merge,
+                       header_bytes + static_cast<std::uint64_t>(
+                                          profile.leaf_payload_bytes)))
+                 : ack_codec_s;
+  for (std::size_t l = levels.size(); l-- > 0;) {
+    const LevelCost& level = levels[l];
+    double worst_link_s = 0.0;
+    for (const auto& [device, s] : level.device_s) {
+      worst_link_s = std::max(worst_link_s, s);
+    }
+    merge_s += level.worst_latency_s + std::max(level.worst_cpu_s, worst_link_s);
+  }
+  p.merge = seconds(merge_s);
+  return p;
+}
+
+Result<std::vector<LinkBytesPrediction>>
+PhasePredictor::predict_merge_link_bytes(const tbon::TopologySpec& spec) const {
+  auto topo_result = tbon::build_topology(machine_, layout_, spec);
+  if (!topo_result.is_ok()) return topo_result.status();
+
+  // One upward transfer per tree edge — exactly the classic merge round's
+  // traffic — charged to every device along the child->parent route, the
+  // same walk Network::transfer reserves.
+  std::unordered_map<std::uint64_t, LinkBytesPrediction> priced;
+  (void)price_round(topo_result.value(),
+                    std::vector<bool>(layout_.num_daemons, true),
+                    /*stream=*/false, &priced);
 
   std::vector<LinkBytesPrediction> out;
   out.reserve(priced.size());
@@ -743,8 +666,6 @@ Result<StreamSamplePrediction> PhasePredictor::predict_stream_sample(
     const std::vector<bool>& daemon_changed) const {
   auto topo_result = tbon::build_topology(machine_, layout_, spec);
   if (!topo_result.is_ok()) return topo_result.status();
-  const tbon::TbonTopology& topo = topo_result.value();
-
   std::vector<bool> changed = daemon_changed;
   if (changed.empty()) changed.assign(layout_.num_daemons, true);
   if (changed.size() != layout_.num_daemons) {
@@ -752,153 +673,7 @@ Result<StreamSamplePrediction> PhasePredictor::predict_stream_sample(
         "changed mask covers " + std::to_string(changed.size()) +
         " daemons, job has " + std::to_string(layout_.num_daemons));
   }
-
-  // Subtree coverage and dirtiness, bottom-up (children index after
-  // parents). A proc is dirty — it re-merges and forwards its subtree
-  // snapshot — exactly when some daemon under it changed.
-  const std::size_t n = topo.procs.size();
-  std::vector<double> daemons_under(n, 0.0);
-  std::vector<bool> dirty(n, false);
-  for (std::uint32_t d = 0; d < layout_.num_daemons; ++d) {
-    if (changed[d]) dirty[topo.leaf_of_daemon[d]] = true;
-  }
-  for (std::size_t i = n; i-- > 0;) {
-    const auto& proc = topo.procs[i];
-    if (proc.is_leaf()) {
-      daemons_under[i] = 1.0;
-      continue;
-    }
-    for (const std::uint32_t c : proc.children) {
-      daemons_under[i] += daemons_under[c];
-      if (dirty[c]) dirty[i] = true;
-    }
-  }
-
-  const auto bytes_of = [&](std::size_t i) {
-    return topo.procs[i].is_leaf()
-               ? stream_profile_.leaf_payload_bytes
-               : stream_profile_.payload_bytes_for(daemons_under[i]);
-  };
-  const auto nodes_of = [&](std::size_t i) {
-    return topo.procs[i].is_leaf()
-               ? stream_profile_.leaf_tree_nodes
-               : stream_profile_.tree_nodes_for(daemons_under[i]);
-  };
-
-  StreamSamplePrediction p;
-  for (std::uint32_t d = 0; d < layout_.num_daemons; ++d) {
-    if (changed[d]) ++p.changed_daemons;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (topo.procs[i].is_leaf()) continue;
-    if (dirty[i]) {
-      ++p.remerged_procs;
-    } else {
-      ++p.cached_procs;
-    }
-  }
-
-  // Same level-by-level critical path as predict(), with every charge taken
-  // from the streaming round's formulas: a changed child costs its delta's
-  // codec + filter merge, an acknowledging child costs the ack codec (plus a
-  // cached re-merge when the parent is dirty), and a proc forwards either
-  // its packed subtree delta or a bare ack.
-  struct LevelCost {
-    double worst_cpu_s = 0.0;
-    double worst_latency_s = 0.0;
-    std::unordered_map<std::uint64_t, double> device_s;  // per link device
-  };
-  std::vector<LevelCost> levels(topo.depth);
-  const double msg_overhead_s = to_seconds(graph_.per_message_overhead());
-  const double ack_codec_s =
-      to_seconds(machine::control_packet_cost(costs_.stream));
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& parent = topo.procs[i];
-    if (parent.children.empty()) continue;
-    LevelCost& level = levels[parent.level];
-    double cpu_s = 0.0;
-    for (const std::uint32_t c : parent.children) {
-      const double snap_bytes = bytes_of(c);
-      const auto snap_wire = static_cast<std::uint64_t>(snap_bytes);
-      const std::uint64_t wire = dirty[c] ? tbon::delta_wire_bytes(snap_wire)
-                                          : tbon::kDeltaAckBytes;
-      if (dirty[c]) {
-        cpu_s += to_seconds(machine::packet_codec_cost(costs_.merge, wire));
-        cpu_s += to_seconds(machine::filter_merge_cost(
-            costs_.merge, static_cast<std::uint64_t>(nodes_of(c)), snap_wire));
-      } else if (dirty[i]) {
-        // A dirty parent handles the cheap acks while still waiting on its
-        // changed children's payloads — off the critical path — and folds
-        // the cached copies once all children are accounted for.
-        cpu_s += to_seconds(machine::cached_merge_cost(
-            costs_.merge, costs_.stream,
-            static_cast<std::uint64_t>(nodes_of(c)), snap_wire));
-      } else {
-        cpu_s += ack_codec_s;
-      }
-      p.delta_bytes += wire;
-      const net::Route route =
-          net::route_between(graph_, topo.procs[c].host, parent.host);
-      const double ser_s =
-          static_cast<double>(wire) / net::bottleneck_rate(route);
-      for (const net::RouteHop& hop : route) {
-        level.device_s[hop.device] += ser_s;
-      }
-      level.worst_latency_s =
-          std::max(level.worst_latency_s,
-                   to_seconds(net::route_latency(route)) + msg_overhead_s);
-    }
-    if (parent.parent >= 0) {
-      cpu_s += dirty[i]
-                   ? to_seconds(machine::packet_codec_cost(
-                         costs_.merge,
-                         tbon::delta_wire_bytes(
-                             static_cast<std::uint64_t>(bytes_of(i)))))
-                   : ack_codec_s;
-    } else if (dirty[i]) {
-      // The front end packs its re-merged accumulator; a clean round is
-      // answered from the cache for free.
-      cpu_s += to_seconds(machine::packet_codec_cost(
-          costs_.merge, static_cast<std::uint64_t>(bytes_of(i))));
-    }
-    level.worst_cpu_s = std::max(level.worst_cpu_s, cpu_s);
-  }
-
-  // Every leaf hashes its snapshot before sending; the slowest leaf is a
-  // changed one (its delta pack dwarfs an ack's) whenever any changed.
-  const double sig_s = to_seconds(machine::signature_cost(
-      costs_.stream,
-      static_cast<std::uint64_t>(stream_profile_.leaf_tree_nodes)));
-  double merge_s = sig_s;
-  if (p.changed_daemons > 0) {
-    merge_s += to_seconds(machine::packet_codec_cost(
-        costs_.merge,
-        tbon::delta_wire_bytes(
-            static_cast<std::uint64_t>(stream_profile_.leaf_payload_bytes))));
-  } else {
-    merge_s += ack_codec_s;
-  }
-  for (std::size_t l = levels.size(); l-- > 0;) {
-    const LevelCost& level = levels[l];
-    double worst_link_s = 0.0;
-    for (const auto& [device, s] : level.device_s) {
-      worst_link_s = std::max(worst_link_s, s);
-    }
-    merge_s += level.worst_latency_s + std::max(level.worst_cpu_s, worst_link_s);
-  }
-  p.merge = seconds(merge_s);
-  return p;
-}
-
-Result<StreamSamplePrediction> PhasePredictor::predict_stream_sample(
-    const tbon::TopologySpec& spec, double changed_fraction) const {
-  check(changed_fraction >= 0.0 && changed_fraction <= 1.0,
-        "changed_fraction outside [0, 1]");
-  const auto band = static_cast<std::uint32_t>(
-      std::llround(changed_fraction * layout_.num_daemons));
-  std::vector<bool> changed(layout_.num_daemons, false);
-  for (std::uint32_t d = 0; d < band; ++d) changed[d] = true;
-  return predict_stream_sample(spec, changed);
+  return price_round(topo_result.value(), changed, /*stream=*/true, nullptr);
 }
 
 }  // namespace petastat::plan

@@ -26,6 +26,8 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.hpp"
@@ -67,22 +69,28 @@ struct WorkloadProfile {
   [[nodiscard]] double tree_nodes_for(double daemons) const;
 };
 
+/// A probe leaf: one daemon's batched 2D+3D payload over every sample (the
+/// classic merge), or its single-sample snapshot (a --stream round).
+enum class ProbeLeaf { kBatchedPayload, kStreamSnapshot };
+
 /// Measures the profile for this scenario configuration by synthesizing the
-/// traces of up to 8 probe daemons through the real tree/label code.
+/// traces of up to 8 probe daemons through the real tree/label code, folded
+/// into leaves of the given type.
 ///
-/// Memoized process-wide on the trace-determining inputs (machine shape, job
-/// size/mode, app kind, seed, representation, sampling options): every
-/// PhasePredictor::create re-measures the same workload, and the service
-/// scheduler creates a predictor per admitted session, so identical probes
-/// would otherwise be re-synthesized many times per process. The cache is the
-/// one deliberate exception to the "no process-global mutable state" rule of
-/// the re-entrant session refactor: it is a pure function cache — entries are
-/// deterministic in their key and never depend on co-resident sessions — and
-/// it is mutex-guarded, so concurrent sessions stay bit-identical to solo
-/// runs.
+/// Memoized process-wide on the leaf type and the trace-determining inputs
+/// (machine shape, job size/mode, app kind, seed, representation, sampling
+/// options): every PhasePredictor::create re-measures the same workload, and
+/// the service scheduler creates a predictor per admitted session, so
+/// identical probes would otherwise be re-synthesized many times per
+/// process. The cache is the one deliberate exception to the "no
+/// process-global mutable state" rule of the re-entrant session refactor: it
+/// is a pure function cache — entries are deterministic in their key and
+/// never depend on co-resident sessions — and it is mutex-guarded, so
+/// concurrent sessions stay bit-identical to solo runs.
 [[nodiscard]] WorkloadProfile profile_workload(
     const machine::MachineConfig& machine, const machine::JobConfig& job,
-    const machine::DaemonLayout& layout, const stat::StatOptions& options);
+    const machine::DaemonLayout& layout, const stat::StatOptions& options,
+    ProbeLeaf leaf = ProbeLeaf::kBatchedPayload);
 
 /// Observability for the profile_workload memoization (tests assert the
 /// miss-then-hit pattern; benches report the synthesis work saved).
@@ -182,13 +190,6 @@ class PhasePredictor {
       const tbon::TopologySpec& spec,
       const std::vector<bool>& daemon_changed) const;
 
-  /// The ISSUE formula's "expected changed-fraction" convenience: prices a
-  /// round where a contiguous band of round(fraction * daemons) daemons
-  /// changed — the drifting-straggler workload's shape, where one band of
-  /// adjacent daemons moves per sample.
-  [[nodiscard]] Result<StreamSamplePrediction> predict_stream_sample(
-      const tbon::TopologySpec& spec, double changed_fraction) const;
-
   /// Per-link merge-phase traffic the predictor prices for `spec`: every
   /// tree edge's payload charged to every link device along its route —
   /// the byte-level half of the shared formulation. The simulated merge
@@ -232,6 +233,16 @@ class PhasePredictor {
 
   [[nodiscard]] SimTime predict_launch(Status& viability) const;
   [[nodiscard]] SimTime predict_sampling() const;
+
+  /// The one round pricer behind every merge prediction: what
+  /// tbon::Reduction charges for a round in which the daemons flagged in
+  /// `daemon_changed` send payloads (see src/plan/README.md). `stream` adds
+  /// the StreamOps charges — snapshot profile, DeltaHeader bytes, signature.
+  /// A non-null `links` tallies every message on each link it crosses.
+  [[nodiscard]] StreamSamplePrediction price_round(
+      const tbon::TbonTopology& topo, const std::vector<bool>& daemon_changed,
+      bool stream,
+      std::unordered_map<std::uint64_t, LinkBytesPrediction>* links) const;
 
   machine::MachineConfig machine_;
   machine::JobConfig job_;

@@ -23,25 +23,39 @@ template <typename Label>
 struct StatPayload {
   PrefixTree<Label> tree_2d;
   PrefixTree<Label> tree_3d;
+
+  [[nodiscard]] std::uint64_t node_count() const {
+    return tree_2d.node_count() + tree_3d.node_count();
+  }
+  void merge(const StatPayload& other) {
+    tree_2d.merge(other.tree_2d);
+    tree_3d.merge(other.tree_3d);
+  }
 };
 
+/// The label a daemon's trace is seeded with, per representation: the task's
+/// global rank (dense) or its daemon-local slot (hierarchical).
+template <typename Label>
+[[nodiscard]] Label seed_label([[maybe_unused]] std::uint32_t daemon,
+                               [[maybe_unused]] std::uint32_t local_index,
+                               [[maybe_unused]] TaskId task) {
+  if constexpr (std::is_same_v<Label, GlobalLabel>) {
+    return GlobalLabel::for_task(task.value());
+  } else {
+    return HierLabel::for_local(daemon, local_index);
+  }
+}
+
 /// Folds one gathered trace into a daemon's payload: the first sample seeds
-/// the 2D trace/space tree, every sample the 3D trace/space/time tree, with
-/// the label seeded per representation (global rank vs daemon-local slot).
+/// the 2D trace/space tree, every sample the 3D trace/space/time tree.
 /// One formulation, two consumers: the scenario's sampling sinks and the
-/// planner's workload probe both fold traces through here, so predicted
-/// payloads are built by exactly the rule the simulator merges with.
+/// planner's workload probe both fold traces through here (and the
+/// StreamSnapshot overload), so predicted payloads follow the same rule.
 template <typename Label>
 void insert_trace(StatPayload<Label>& payload, const app::CallPath& path,
-                  [[maybe_unused]] std::uint32_t daemon,
-                  [[maybe_unused]] std::uint32_t local_index,
-                  [[maybe_unused]] TaskId task, std::uint32_t sample) {
-  Label seed;
-  if constexpr (std::is_same_v<Label, GlobalLabel>) {
-    seed = GlobalLabel::for_task(task.value());
-  } else {
-    seed = HierLabel::for_local(daemon, local_index);
-  }
+                  std::uint32_t daemon, std::uint32_t local_index, TaskId task,
+                  std::uint32_t sample) {
+  const Label seed = seed_label<Label>(daemon, local_index, task);
   if (sample == 0) payload.tree_2d.insert(path, seed);
   payload.tree_3d.insert(path, seed);
 }
@@ -71,14 +85,11 @@ template <typename Label>
   // The modelled cost depends on the incoming payload only (streaming
   // filters charge per arrival), which lets the real merge run on a worker.
   ops.merge_cpu = [costs, &frames, ctx](const StatPayload<Label>& child) {
-    const std::uint64_t nodes =
-        child.tree_2d.node_count() + child.tree_3d.node_count();
-    const std::uint64_t label_bytes = payload_wire_bytes(child, frames, ctx);
-    return machine::filter_merge_cost(costs, nodes, label_bytes);
+    return machine::filter_merge_cost(costs, child.node_count(),
+                                      payload_wire_bytes(child, frames, ctx));
   };
   ops.merge_into = [](StatPayload<Label>& acc, StatPayload<Label>&& child) {
-    acc.tree_2d.merge(child.tree_2d);
-    acc.tree_3d.merge(child.tree_3d);
+    acc.merge(child);
   };
   return ops;
 }
@@ -92,9 +103,21 @@ template <typename Label>
 struct StreamSnapshot {
   PrefixTree<Label> tree;
 
+  [[nodiscard]] std::uint64_t node_count() const { return tree.node_count(); }
+  void merge(const StreamSnapshot& other) { tree.merge(other.tree); }
+
   friend bool operator==(const StreamSnapshot&, const StreamSnapshot&) =
       default;
 };
+
+/// Folds one gathered trace into a daemon's streaming snapshot. A snapshot
+/// holds one sample, so the sample index does not matter.
+template <typename Label>
+void insert_trace(StreamSnapshot<Label>& snapshot, const app::CallPath& path,
+                  std::uint32_t daemon, std::uint32_t local_index, TaskId task,
+                  std::uint32_t /*sample*/) {
+  snapshot.tree.insert(path, seed_label<Label>(daemon, local_index, task));
+}
 
 template <typename Label>
 [[nodiscard]] std::uint64_t snapshot_wire_bytes(
@@ -123,20 +146,20 @@ template <typename Label>
   ops.base.merge_cpu = [merge, &frames, ctx](
                            const StreamSnapshot<Label>& child) {
     return machine::filter_merge_cost(
-        merge, child.tree.node_count(),
+        merge, child.node_count(),
         snapshot_wire_bytes(child, frames, ctx));
   };
   ops.base.merge_into = [](StreamSnapshot<Label>& acc,
                            StreamSnapshot<Label>&& child) {
-    acc.tree.merge(child.tree);
+    acc.merge(child);
   };
   ops.signature_cpu = [stream](const StreamSnapshot<Label>& snapshot) {
-    return machine::signature_cost(stream, snapshot.tree.node_count());
+    return machine::signature_cost(stream, snapshot.node_count());
   };
   ops.cached_merge_cpu = [merge, stream, &frames, ctx](
                              const StreamSnapshot<Label>& child) {
     return machine::cached_merge_cost(
-        merge, stream, child.tree.node_count(),
+        merge, stream, child.node_count(),
         snapshot_wire_bytes(child, frames, ctx));
   };
   ops.ack_cpu = machine::control_packet_cost(stream);

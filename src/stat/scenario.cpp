@@ -31,6 +31,17 @@ const char* task_set_repr_name(TaskSetRepr repr) {
 namespace {
 constexpr const char* kSharedBase = "/nfs/home/user";
 
+/// The sampling sink folding a daemon's gathered traces into its leaf: the
+/// batched StatPayload of the classic merge or a stream round's snapshot.
+template <typename Leaf>
+stackwalker::TraceSink trace_sink(Leaf& leaf, std::uint32_t daemon_id) {
+  return [leaf = &leaf, daemon_id](TaskId task, std::uint32_t local,
+                                   std::uint32_t, std::uint32_t sample,
+                                   const app::CallPath& path) {
+    insert_trace(*leaf, path, daemon_id, local, task, sample);
+  };
+}
+
 /// Per-link traffic since `before` (a link_stats() snapshot), busiest first
 /// (ties to the lower device key), links with no new traffic dropped.
 std::vector<net::LinkStat> link_stats_since(
@@ -545,20 +556,13 @@ StatRunResult StatScenario::run_impl() {
 
   if (!streaming) {
     // Each daemon folds its traces straight into its own payload.
-    const auto sink_into = [](auto& payloads, std::uint32_t daemon_id) {
-      auto* payload = &payloads[daemon_id];
-      return stackwalker::TraceSink(
-          [payload, daemon_id](TaskId task, std::uint32_t local, std::uint32_t,
-                               std::uint32_t sample, const app::CallPath& path) {
-            insert_trace(*payload, path, daemon_id, local, task, sample);
-          });
-    };
     SimTime sample_end = sample_start;
     for (std::uint32_t d = 0; d < num_daemons; ++d) {
       if (daemon_dead[d]) continue;
       walker_->sample_daemon(
           DaemonId(d), options_.num_samples,
-          dense ? sink_into(dense_payloads, d) : sink_into(hier_payloads, d),
+          dense ? trace_sink(dense_payloads[d], d)
+                : trace_sink(hier_payloads[d], d),
           [&phases, &sample_end](const stackwalker::SampleReport& report) {
             phases.daemon_sample_seconds.add(to_seconds(report.total()));
             phases.sample_symbol_io_max =
@@ -842,31 +846,17 @@ void StatScenario::run_merge_phase(const tbon::TbonTopology& topology,
   phases.leaf_payload_bytes =
       payload_wire_bytes(payloads[first_alive], frames, ctx);
 
-  // Receive-buffer viability: the sum of the leaf payloads arriving at the
-  // front end — and at each reducer, which takes over the front end's role
-  // for its shard — must fit (streaming helps internal comm procs, but the
-  // merge root of a flat subtree holds every daemon's full-job bit vectors
-  // at once). Dead daemons send nothing.
-  std::vector<std::uint32_t> merge_roots{0};
-  merge_roots.insert(merge_roots.end(), topology.reducers.begin(),
-                     topology.reducers.end());
-  for (const std::uint32_t root : merge_roots) {
-    std::uint64_t incoming = 0;
-    for (const std::uint32_t child : topology.procs[root].children) {
-      const auto& proc = topology.procs[child];
-      if (proc.is_leaf() && !daemon_dead[proc.daemon.value()]) {
-        incoming +=
-            payload_wire_bytes(payloads[proc.daemon.value()], frames, ctx);
-      }
-    }
-    if (incoming > costs_.merge.frontend_rx_buffer_bytes) {
-      phases.merge_status = resource_exhausted(
-          std::string(root == 0 ? "front-end" : "reducer") +
-          " receive buffers overflow: " + std::to_string(incoming) +
-          " bytes inbound");
-      return;
-    }
-  }
+  // Receive-buffer viability at every merge root (streaming helps internal
+  // comm procs, but the merge root of a flat subtree holds every daemon's
+  // full-job bit vectors at once). Dead daemons send nothing.
+  phases.merge_status = tbon::rx_buffer_viability(
+      topology, costs_.merge.frontend_rx_buffer_bytes,
+      [&](std::uint32_t daemon) -> std::uint64_t {
+        return daemon_dead[daemon]
+                   ? 0
+                   : payload_wire_bytes(payloads[daemon], frames, ctx);
+      });
+  if (!phases.merge_status.is_ok()) return;
 
   // The classic merge is one round of the reduction engine: no baselines,
   // every leaf sends, every proc merges. merge_bytes counts all traffic of
@@ -975,22 +965,8 @@ void StatScenario::run_stream_phase(const tbon::TbonTopology& topology,
     const std::vector<bool>& unreachable = streaming.dead_daemons();
     for (std::uint32_t d = 0; d < num_daemons; ++d) {
       if (unreachable[d]) continue;
-      auto* snapshot = &snapshots[d];
-      const std::uint32_t daemon_id = d;
-      stackwalker::TraceSink sink =
-          [snapshot, daemon_id](TaskId task, std::uint32_t local,
-                                std::uint32_t, std::uint32_t,
-                                const app::CallPath& path) {
-            Label seed;
-            if constexpr (std::is_same_v<Label, GlobalLabel>) {
-              seed = GlobalLabel::for_task(task.value());
-            } else {
-              seed = HierLabel::for_local(daemon_id, local);
-            }
-            snapshot->tree.insert(path, seed);
-          };
       walker_->sample_daemon_from(
-          DaemonId(d), s, 1, sink,
+          DaemonId(d), s, 1, trace_sink(snapshots[d], d),
           [&phases, &gather_end](const stackwalker::SampleReport& report) {
             phases.daemon_sample_seconds.add(to_seconds(report.total()));
             phases.sample_symbol_io_max =

@@ -11,9 +11,9 @@
 //
 // Upward, every per-sample delta message leads with a DeltaHeader: an
 // unchanged subtree acknowledges with the bare header (kDeltaAckBytes), a
-// changed one appends its packed payload (delta_wire_bytes). Both envelopes
-// are versioned through the standard wire format: skew decodes to
-// FAILED_PRECONDITION, truncation to INVALID_ARGUMENT.
+// changed one appends its packed payload. Both envelopes are versioned
+// through the standard wire format: skew decodes to FAILED_PRECONDITION,
+// truncation to INVALID_ARGUMENT.
 #pragma once
 
 #include <cstdint>
@@ -61,11 +61,6 @@ struct DeltaHeader {
 inline constexpr std::uint64_t kDeltaHeaderBytes = 14;
 /// An unchanged child's whole upward message is the bare header.
 inline constexpr std::uint64_t kDeltaAckBytes = kDeltaHeaderBytes;
-/// Wire size of a changed child's delta: header + packed subtree payload.
-[[nodiscard]] constexpr std::uint64_t delta_wire_bytes(
-    std::uint64_t payload_bytes) {
-  return kDeltaHeaderBytes + payload_bytes;
-}
 
 /// What one broadcast moved.
 struct BroadcastReport {

@@ -540,6 +540,29 @@ Status connection_viability(const TbonTopology& topology, std::uint32_t limit,
   return Status::ok();
 }
 
+Status rx_buffer_viability(
+    const TbonTopology& topology, std::uint64_t limit_bytes,
+    const std::function<std::uint64_t(std::uint32_t daemon)>&
+        leaf_bytes_of_daemon) {
+  std::vector<std::uint32_t> merge_roots{0};
+  merge_roots.insert(merge_roots.end(), topology.reducers.begin(),
+                     topology.reducers.end());
+  for (const std::uint32_t root : merge_roots) {
+    std::uint64_t incoming = 0;
+    for (const std::uint32_t child : topology.procs[root].children) {
+      const auto& proc = topology.procs[child];
+      if (proc.is_leaf()) incoming += leaf_bytes_of_daemon(proc.daemon.value());
+    }
+    if (incoming > limit_bytes) {
+      return resource_exhausted(
+          std::string(root == 0 ? "front-end" : "reducer") +
+          " receive buffers overflow: " + std::to_string(incoming) +
+          " bytes inbound");
+    }
+  }
+  return Status::ok();
+}
+
 std::uint32_t shard_spawn_hosts(const TbonTopology& topology) {
   std::vector<NodeId> hosts;
   hosts.reserve(topology.reducers.size() + topology.combiners.size());

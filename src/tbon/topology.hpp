@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -235,6 +236,17 @@ struct DerivedLevels {
 [[nodiscard]] Status connection_viability(const TbonTopology& topology,
                                           std::uint32_t limit,
                                           const std::vector<bool>& daemon_dead);
+
+/// Receive-buffer viability of a built tree: the leaf payloads arriving at
+/// each merge root — the front end and every reducer, which takes over the
+/// front end's role for its shard — must fit in `limit_bytes` (rejection is
+/// `> limit_bytes`). `leaf_bytes_of_daemon` gives one daemon's payload bytes
+/// (0 for a daemon that sends nothing). One formulation shared by the
+/// simulator (real payload bytes) and the planner (probed leaf bytes).
+[[nodiscard]] Status rx_buffer_viability(
+    const TbonTopology& topology, std::uint64_t limit_bytes,
+    const std::function<std::uint64_t(std::uint32_t daemon)>&
+        leaf_bytes_of_daemon);
 
 /// Distinct hosts carrying the shard machinery (reducers + combiners) — the
 /// remote-shell handshake count of the spawn burst. Feed it with

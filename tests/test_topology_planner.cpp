@@ -11,6 +11,7 @@
 #include "plan/search.hpp"
 #include "stat/cli_config.hpp"
 #include "stat/scenario.hpp"
+#include "tbon/multicast.hpp"
 
 namespace petastat::plan {
 namespace {
@@ -217,6 +218,120 @@ TEST(TopologySearch, ShardDimensionJoinsTheSpaceUnderAuto) {
   for (const RankedTopology& ranked : pinned_search.value().viable) {
     EXPECT_EQ(ranked.spec.fe_shards, 1u);
   }
+}
+
+// --------------------------------------------------------------------------
+// Stream round pricing: which procs a predicted delta round re-merges
+
+struct StreamPricingCell {
+  const char* name;
+  machine::MachineConfig machine;
+  std::uint32_t tasks;
+  tbon::TopologySpec spec;
+};
+
+/// Runs `check_cell` on a flat and a 2-deep Atlas tree and a sharded
+/// petascale tree, each with the topology the predictor prices.
+template <typename CheckCell>
+void for_each_stream_pricing_cell(CheckCell check_cell) {
+  const StreamPricingCell cells[] = {
+      {"atlas_flat", machine::atlas(), 1024, tbon::TopologySpec::flat()},
+      {"atlas_2deep", machine::atlas(), 1024, tbon::TopologySpec::balanced(2)},
+      {"petascale_k16", machine::petascale(), 131072,
+       tbon::TopologySpec::flat().with_shards(16)},
+  };
+  for (const StreamPricingCell& cell : cells) {
+    SCOPED_TRACE(cell.name);
+    stat::StatOptions options = dense_options(stat::LauncherKind::kLaunchMon);
+    options.repr = stat::TaskSetRepr::kHierarchical;
+    auto predictor = predictor_for(cell.machine, cell.tasks, options);
+    ASSERT_TRUE(predictor.is_ok()) << predictor.status().to_string();
+    auto topo = tbon::build_topology(predictor.value().machine(),
+                                     predictor.value().layout(), cell.spec);
+    ASSERT_TRUE(topo.is_ok()) << topo.status().to_string();
+    check_cell(predictor.value(), topo.value(), cell.spec);
+  }
+}
+
+/// The front end plus every comm process.
+std::uint32_t non_leaf_procs(const tbon::TbonTopology& topo) {
+  return topo.num_comm_procs() + 1;
+}
+
+TEST(StreamPricing, AllChangedRemergesEveryNonLeafProc) {
+  for_each_stream_pricing_cell([](const PhasePredictor& predictor,
+                                  const tbon::TbonTopology& topo,
+                                  const tbon::TopologySpec& spec) {
+    const std::uint32_t daemons = predictor.layout().num_daemons;
+    const auto all =
+        predictor.predict_stream_sample(spec, std::vector<bool>(daemons, true));
+    ASSERT_TRUE(all.is_ok()) << all.status().to_string();
+    EXPECT_EQ(all.value().changed_daemons, daemons);
+    EXPECT_EQ(all.value().remerged_procs, non_leaf_procs(topo));
+    EXPECT_EQ(all.value().cached_procs, 0u);
+
+    // The empty mask is the same all-changed round.
+    const auto empty = predictor.predict_stream_sample(spec, {});
+    ASSERT_TRUE(empty.is_ok());
+    EXPECT_EQ(empty.value().merge, all.value().merge);
+    EXPECT_EQ(empty.value().delta_bytes, all.value().delta_bytes);
+
+    const auto short_mask = predictor.predict_stream_sample(
+        spec, std::vector<bool>(daemons - 1, true));
+    EXPECT_EQ(short_mask.status().code(), StatusCode::kInvalidArgument);
+  });
+}
+
+TEST(StreamPricing, NoneChangedAcksEveryEdge) {
+  for_each_stream_pricing_cell([](const PhasePredictor& predictor,
+                                  const tbon::TbonTopology& topo,
+                                  const tbon::TopologySpec& spec) {
+    const std::uint32_t daemons = predictor.layout().num_daemons;
+    const auto none = predictor.predict_stream_sample(
+        spec, std::vector<bool>(daemons, false));
+    ASSERT_TRUE(none.is_ok()) << none.status().to_string();
+    EXPECT_EQ(none.value().changed_daemons, 0u);
+    EXPECT_EQ(none.value().remerged_procs, 0u);
+    EXPECT_EQ(none.value().cached_procs, non_leaf_procs(topo));
+    EXPECT_EQ(none.value().delta_bytes,
+              tbon::kDeltaAckBytes * (topo.procs.size() - 1));
+
+    const auto all = predictor.predict_stream_sample(spec, {});
+    ASSERT_TRUE(all.is_ok());
+    EXPECT_LT(none.value().merge, all.value().merge);
+  });
+}
+
+TEST(StreamPricing, OneChangedDaemonRemergesExactlyItsAncestors) {
+  for_each_stream_pricing_cell([](const PhasePredictor& predictor,
+                                  const tbon::TbonTopology& topo,
+                                  const tbon::TopologySpec& spec) {
+    const std::uint32_t daemons = predictor.layout().num_daemons;
+    const std::uint32_t changed = daemons / 2;
+    std::vector<bool> mask(daemons, false);
+    mask[changed] = true;
+    const auto one = predictor.predict_stream_sample(spec, mask);
+    ASSERT_TRUE(one.is_ok()) << one.status().to_string();
+
+    std::uint32_t ancestors = 0;
+    for (std::int32_t walk = topo.procs[topo.leaf_of_daemon[changed]].parent;
+         walk >= 0; walk = topo.procs[static_cast<std::uint32_t>(walk)].parent) {
+      ++ancestors;
+    }
+    EXPECT_EQ(ancestors, topo.depth);
+    EXPECT_EQ(one.value().changed_daemons, 1u);
+    EXPECT_EQ(one.value().remerged_procs, ancestors);
+    EXPECT_EQ(one.value().cached_procs, non_leaf_procs(topo) - ancestors);
+
+    const auto none = predictor.predict_stream_sample(
+        spec, std::vector<bool>(daemons, false));
+    const auto all = predictor.predict_stream_sample(spec, {});
+    ASSERT_TRUE(none.is_ok());
+    ASSERT_TRUE(all.is_ok());
+    EXPECT_GT(one.value().delta_bytes, none.value().delta_bytes);
+    EXPECT_LT(one.value().delta_bytes, all.value().delta_bytes);
+    EXPECT_LT(one.value().merge, all.value().merge);
+  });
 }
 
 // --------------------------------------------------------------------------
