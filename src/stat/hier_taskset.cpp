@@ -5,6 +5,19 @@
 
 namespace petastat::stat {
 
+namespace {
+
+/// First block whose daemon is not below `daemon`.
+std::vector<HierTaskSet::Block>::iterator lower_block(
+    std::vector<HierTaskSet::Block>& blocks, std::uint32_t daemon) {
+  return std::lower_bound(blocks.begin(), blocks.end(), daemon,
+                          [](const HierTaskSet::Block& b, std::uint32_t d) {
+                            return b.daemon < d;
+                          });
+}
+
+}  // namespace
+
 HierTaskSet HierTaskSet::single(std::uint32_t daemon,
                                 std::uint32_t local_index) {
   HierTaskSet s;
@@ -13,10 +26,7 @@ HierTaskSet HierTaskSet::single(std::uint32_t daemon,
 }
 
 void HierTaskSet::insert(std::uint32_t daemon, std::uint32_t local_index) {
-  auto it = std::lower_bound(blocks_.begin(), blocks_.end(), daemon,
-                             [](const Block& b, std::uint32_t d) {
-                               return b.daemon < d;
-                             });
+  const auto it = lower_block(blocks_, daemon);
   if (it != blocks_.end() && it->daemon == daemon) {
     it->local.insert(local_index);
   } else {
@@ -30,6 +40,17 @@ void HierTaskSet::merge(const HierTaskSet& other) {
     blocks_ = other.blocks_;
     return;
   }
+  if (other.blocks_.size() == 1) {
+    // One block (a trace's seed label): a known daemon unions into its
+    // block in place; only a new daemon needs the rebuild below.
+    const Block& block = other.blocks_.front();
+    const auto it = lower_block(blocks_, block.daemon);
+    if (it != blocks_.end() && it->daemon == block.daemon) {
+      it->local.union_with(block.local);
+      return;
+    }
+  }
+  // Linear merge by daemon into exact-size storage.
   std::vector<Block> result;
   result.reserve(blocks_.size() + other.blocks_.size());
   std::size_t i = 0, j = 0;
@@ -149,14 +170,24 @@ std::uint32_t TaskMap::global_rank(std::uint32_t daemon,
 }
 
 TaskSet TaskMap::remap(const HierTaskSet& hier) const {
+  // Daemons own disjoint contiguous rank blocks, so visiting blocks in base
+  // rank order emits every interval in rank order: one sort of the blocks,
+  // then a linear append that coalesces intervals abutting across daemons.
+  const auto& blocks = hier.blocks();
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> order;  // (base, block)
+  order.reserve(blocks.size());
+  std::size_t intervals = 0;
+  for (std::uint32_t b = 0; b < blocks.size(); ++b) {
+    check(blocks[b].daemon < base_rank_.size(), "TaskMap::remap unknown daemon");
+    order.emplace_back(base_rank_[blocks[b].daemon], b);
+    intervals += blocks[b].local.interval_count();
+  }
+  std::sort(order.begin(), order.end());
   TaskSet out;
-  for (const auto& block : hier.blocks()) {
-    check(block.daemon < base_rank_.size(), "TaskMap::remap unknown daemon");
-    const std::uint32_t base = base_rank_[block.daemon];
-    // Each local interval maps to one global interval shifted by the block
-    // base; daemons own contiguous rank blocks.
-    for (const auto& iv : block.local.intervals()) {
-      out.insert_range(base + iv.lo, base + iv.hi);
+  out.reserve(intervals);
+  for (const auto& [base, b] : order) {
+    for (const auto& iv : blocks[b].local.intervals()) {
+      out.append_range(base + iv.lo, base + iv.hi);
     }
   }
   return out;

@@ -4,12 +4,16 @@ namespace petastat::stat {
 
 namespace {
 
+// `into` is fresh: each remapped label moves straight into its new node,
+// and children arrive in frame order, so they are appended.
 void remap_children(const HierTree::Node& from, GlobalTree::Node& into,
                     const TaskMap& map) {
+  into.children.reserve(from.children.size());
   for (const auto& child : from.children) {
-    GlobalTree::Node& target = into.ensure_child(child.frame);
-    target.label.tasks.union_with(map.remap(child.label.tasks));
-    target.label.visits += child.label.visits;
+    GlobalTree::Node& target = into.children.emplace_back(GlobalTree::Node{
+        child.frame,
+        GlobalLabel{map.remap(child.label.tasks), child.label.visits},
+        {}});
     remap_children(child, target, map);
   }
 }

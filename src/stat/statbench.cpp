@@ -12,13 +12,12 @@ namespace petastat::stat {
 
 namespace {
 
-template <typename Label, typename MakeSeed>
+template <typename Label>
 StatBenchResult run_with_label(const StatBenchConfig& config,
                                const machine::DaemonLayout& layout,
                                const tbon::TbonTopology& topology,
                                const app::StatBenchApp& app,
-                               const machine::CostModel& costs,
-                               MakeSeed&& make_seed) {
+                               const machine::CostModel& costs) {
   StatBenchResult result;
   result.virtual_tasks = config.virtual_tasks;
   result.physical_daemons = layout.num_daemons;
@@ -42,9 +41,7 @@ StatBenchResult run_with_label(const StatBenchConfig& config,
         for (std::uint32_t i = 0; i < count; ++i) {
           const TaskId task(first + i);
           const app::CallPath path = app.stack(task, 0, s);
-          const Label seed = make_seed(d, i, task);
-          if (s == 0) payloads[d].tree_2d.insert(path, seed);
-          payloads[d].tree_3d.insert(path, seed);
+          insert_trace(payloads[d], path, d, i, task, s);
           generate_s[d] += to_seconds(costs.sampling.local_merge_per_node) *
                            static_cast<double>(path.size());
         }
@@ -144,17 +141,10 @@ StatBenchResult run_statbench(const StatBenchConfig& config) {
 
   // The shape mirrors the scenario's merge phase, but over emulated data.
   if (config.repr == TaskSetRepr::kDenseGlobal) {
-    return run_with_label<GlobalLabel>(
-        config, layout, topo.value(), app, costs,
-        [](std::uint32_t, std::uint32_t, TaskId task) {
-          return GlobalLabel::for_task(task.value());
-        });
+    return run_with_label<GlobalLabel>(config, layout, topo.value(), app,
+                                       costs);
   }
-  return run_with_label<HierLabel>(
-      config, layout, topo.value(), app, costs,
-      [](std::uint32_t daemon, std::uint32_t local, TaskId) {
-        return HierLabel::for_local(daemon, local);
-      });
+  return run_with_label<HierLabel>(config, layout, topo.value(), app, costs);
 }
 
 }  // namespace petastat::stat

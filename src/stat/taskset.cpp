@@ -32,12 +32,7 @@ void TaskSet::insert(std::uint32_t task) { insert_range(task, task); }
 
 void TaskSet::insert_range(std::uint32_t lo, std::uint32_t hi) {
   check(lo <= hi, "TaskSet::insert_range lo > hi");
-  // Find the first interval that could touch [lo, hi] (adjacency counts).
-  auto it = std::lower_bound(
-      intervals_.begin(), intervals_.end(), lo,
-      [](const Interval& iv, std::uint32_t v) {
-        return iv.hi != UINT32_MAX && iv.hi + 1 < v;
-      });
+  auto it = first_touching(lo);
   Interval merged{lo, hi};
   auto erase_begin = it;
   while (it != intervals_.end() && it->lo <= (hi == UINT32_MAX ? hi : hi + 1)) {
@@ -53,13 +48,38 @@ void TaskSet::insert_range(std::uint32_t lo, std::uint32_t hi) {
   }
 }
 
+std::vector<TaskSet::Interval>::iterator TaskSet::first_touching(
+    std::uint32_t lo) {
+  return std::lower_bound(intervals_.begin(), intervals_.end(), lo,
+                          [](const Interval& iv, std::uint32_t v) {
+                            return iv.hi != UINT32_MAX && iv.hi + 1 < v;
+                          });
+}
+
 void TaskSet::union_with(const TaskSet& other) {
   if (other.intervals_.empty()) return;
   if (intervals_.empty()) {
     intervals_ = other.intervals_;
     return;
   }
-  // Linear two-pointer merge of sorted interval lists.
+  if (other.intervals_.size() == 1) {
+    // One interval (a trace's seed label) that lies inside or widens exactly
+    // one interval needs no new slot: update that interval in place. One
+    // that touches nothing needs a slot, and one that bridges intervals
+    // leaves slots empty; both rebuild below, so storage stays exact as
+    // labels coalesce.
+    const Interval iv = other.intervals_.front();
+    const std::uint32_t reach = iv.hi == UINT32_MAX ? iv.hi : iv.hi + 1;
+    const auto it = first_touching(iv.lo);
+    if (it != intervals_.end() && it->lo <= reach &&
+        (it + 1 == intervals_.end() || (it + 1)->lo > reach)) {
+      it->lo = std::min(it->lo, iv.lo);
+      it->hi = std::max(it->hi, iv.hi);
+      return;
+    }
+  }
+  // Linear two-pointer merge of sorted interval lists into exact-size
+  // storage.
   std::vector<Interval> result;
   result.reserve(intervals_.size() + other.intervals_.size());
   std::size_t i = 0, j = 0;
@@ -81,6 +101,22 @@ void TaskSet::union_with(const TaskSet& other) {
     }
   }
   intervals_ = std::move(result);
+}
+
+void TaskSet::append_range(std::uint32_t lo, std::uint32_t hi) {
+  check(lo <= hi, "TaskSet::append_range lo > hi");
+  if (intervals_.empty()) {
+    intervals_.push_back({lo, hi});
+    return;
+  }
+  Interval& back = intervals_.back();
+  check(back.hi != UINT32_MAX && lo > back.hi,
+        "TaskSet::append_range out of order");
+  if (lo == back.hi + 1) {
+    back.hi = hi;
+  } else {
+    intervals_.push_back({lo, hi});
+  }
 }
 
 bool TaskSet::contains(std::uint32_t task) const {

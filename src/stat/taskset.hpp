@@ -48,7 +48,16 @@ class TaskSet {
 
   void insert(std::uint32_t task);
   void insert_range(std::uint32_t lo, std::uint32_t hi);
+  /// Updates in place when `other` is one interval that lies inside or
+  /// widens exactly one interval (the result needs no new slot and leaves
+  /// none empty); otherwise rebuilds into exact-size storage.
   void union_with(const TaskSet& other);
+
+  /// Builder for rank-ordered emitters: appends [lo, hi], which must lie
+  /// above every member, coalescing with the last interval when adjacent.
+  /// reserve() sizes the storage up front.
+  void append_range(std::uint32_t lo, std::uint32_t hi);
+  void reserve(std::size_t intervals) { intervals_.reserve(intervals); }
 
   [[nodiscard]] bool contains(std::uint32_t task) const;
   [[nodiscard]] bool empty() const { return intervals_.empty(); }
@@ -92,6 +101,10 @@ class TaskSet {
   static Result<TaskSet> decode_ranged_body(ByteSource& source);
 
  private:
+  /// First interval that touches or lies above a range starting at `lo`
+  /// (adjacency counts as touching).
+  std::vector<Interval>::iterator first_touching(std::uint32_t lo);
+
   std::vector<Interval> intervals_;
 };
 

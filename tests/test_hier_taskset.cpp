@@ -2,6 +2,10 @@
 // remap (the Sec. V-B optimization and Fig. 6b).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "stat/hier_taskset.hpp"
 
@@ -85,6 +89,49 @@ TEST_P(HierMergeProperty, CommutativeAssociativeSorted) {
   HierTaskSet aa = a;
   aa.merge(a);
   EXPECT_EQ(aa, a);
+
+  // One-block merges, the fold's seed-label shape: the same daemon, and a
+  // new daemon before, between and after the existing blocks. Each agrees
+  // with inserting the block's members one by one. Blocks sit on even
+  // daemons in [4, 28], always including 4 and 20, so every gap has room.
+  HierTaskSet sparse;
+  sparse.insert(4, static_cast<std::uint32_t>(rng.next_below(128)));
+  sparse.insert(20, static_cast<std::uint32_t>(rng.next_below(128)));
+  for (int i = 0; i < 20; ++i) {
+    sparse.insert(4 + 2 * static_cast<std::uint32_t>(rng.next_below(13)),
+                  static_cast<std::uint32_t>(rng.next_below(128)));
+  }
+  const auto& existing = sparse.blocks();
+  const std::uint32_t daemons[] = {
+      // the same daemon as an existing block
+      existing[rng.next_below(existing.size())].daemon,
+      // new daemons: before, between (odd, inside [4, 20]) and after
+      static_cast<std::uint32_t>(rng.next_below(4)),
+      5 + 2 * static_cast<std::uint32_t>(rng.next_below(8)),
+      existing.back().daemon + 1 +
+          static_cast<std::uint32_t>(rng.next_below(4)),
+  };
+  for (const std::uint32_t daemon : daemons) {
+    HierTaskSet one;
+    const int members = 1 + static_cast<int>(rng.next_below(3));
+    for (int i = 0; i < members; ++i) {
+      one.insert(daemon, static_cast<std::uint32_t>(rng.next_below(128)));
+    }
+    ASSERT_EQ(one.blocks().size(), 1u);
+    HierTaskSet merged = sparse;
+    merged.merge(one);
+    HierTaskSet expected = sparse;
+    for (const std::uint32_t local : one.blocks().front().local.to_vector()) {
+      expected.insert(daemon, local);
+    }
+    EXPECT_EQ(merged, expected) << "daemon " << daemon;
+    HierTaskSet reversed = one;
+    reversed.merge(sparse);
+    EXPECT_EQ(reversed, expected) << "daemon " << daemon;
+    for (std::size_t i = 1; i < merged.blocks().size(); ++i) {
+      EXPECT_LT(merged.blocks()[i - 1].daemon, merged.blocks()[i].daemon);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HierMergeProperty, ::testing::Range<std::uint64_t>(0, 10));
@@ -168,21 +215,43 @@ TEST(TaskMap, ShuffledIsDeterministicInSeed) {
 }
 
 TEST(TaskMap, RemapMatchesElementwiseMapping) {
-  const auto layout = layout_of(8, 16, 128);
-  const TaskMap map = TaskMap::shuffled(layout, 3);
-  HierTaskSet hier;
-  Rng rng(11);
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> members;
-  for (int i = 0; i < 60; ++i) {
-    const auto d = static_cast<std::uint32_t>(rng.next_below(8));
-    const auto l = static_cast<std::uint32_t>(rng.next_below(16));
-    hier.insert(d, l);
-    members.emplace_back(d, l);
-  }
-  const TaskSet global = map.remap(hier);
-  EXPECT_EQ(global.count(), hier.count());
-  for (const auto& [d, l] : members) {
-    EXPECT_TRUE(global.contains(map.global_rank(d, l)));
+  // Nine daemons of 16 tasks; the last is short (8 tasks) and keeps its
+  // block under the shuffle.
+  const auto layout = layout_of(9, 16, 136);
+  for (const std::uint64_t seed : {3u, 5u, 11u, 29u, 2008u}) {
+    const TaskMap map = TaskMap::shuffled(layout, seed);
+    Rng rng(seed * 7 + 1);
+    HierTaskSet hier;
+    std::set<std::uint32_t> oracle;
+    const auto add = [&](std::uint32_t d, std::uint32_t l) {
+      hier.insert(d, l);
+      oracle.insert(map.global_rank(d, l));
+    };
+    for (int i = 0; i < 60; ++i) {
+      const auto d = static_cast<std::uint32_t>(rng.next_below(9));
+      add(d, static_cast<std::uint32_t>(rng.next_below(layout.tasks_of(
+                 DaemonId(d)))));
+    }
+    // Two daemons whose rank blocks abut, fully present: the remap must
+    // coalesce them into one interval across the daemon boundary.
+    const auto a = static_cast<std::uint32_t>(rng.next_below(8));
+    std::uint32_t b = 0;
+    while (map.global_rank(b, 0) != map.global_rank(a, 0) + 16) ++b;
+    for (std::uint32_t l = 0; l < 16; ++l) add(a, l);
+    for (std::uint32_t l = 0; l < layout.tasks_of(DaemonId(b)); ++l) add(b, l);
+
+    const TaskSet global = map.remap(hier);
+    EXPECT_EQ(global.count(), hier.count());
+    const std::vector<std::uint32_t> expected(oracle.begin(), oracle.end());
+    EXPECT_EQ(global.to_vector(), expected) << "seed " << seed;
+    // Canonical: sorted, disjoint and never adjacent.
+    const auto& ivs = global.intervals();
+    for (std::size_t i = 1; i < ivs.size(); ++i) {
+      EXPECT_GT(ivs[i].lo, ivs[i - 1].hi + 1) << "seed " << seed;
+    }
+    EXPECT_TRUE(std::any_of(ivs.begin(), ivs.end(), [&](const auto& iv) {
+      return iv.lo <= map.global_rank(a, 15) && iv.hi >= map.global_rank(b, 0);
+    })) << "seed " << seed;
   }
 }
 

@@ -2,6 +2,8 @@
 // formats — the Fig. 6 data structures.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <set>
 
 #include "common/rng.hpp"
@@ -82,32 +84,120 @@ TEST(TaskSet, MaxTaskAndEmpty) {
 // Property: TaskSet behaves exactly like std::set under random ops.
 class TaskSetVsReference : public ::testing::TestWithParam<std::uint64_t> {};
 
+// Which path a one-interval union_with takes, judged from the set before it.
+enum UnionBranch {
+  kContained,      // inside an interval other than a last one ending at max
+  kExtendsLast,    // starts inside or right after the last interval
+  kWidensOther,    // overlaps or abuts exactly one, earlier, interval
+  kBridges,        // overlaps or abuts several intervals, which merge
+  kNewBefore,      // touches nothing: new first interval
+  kNewBetween,     // touches nothing: new interval between two others
+  kNewAfter,       // touches nothing: new last interval
+  kMaxEdge,        // the last interval ends at UINT32_MAX and absorbs it
+  kNumUnionBranches,
+};
+
+UnionBranch classify_union(const TaskSet& set, std::uint32_t lo,
+                           std::uint32_t hi) {
+  const auto& ivs = set.intervals();
+  const auto& back = ivs.back();
+  if (back.hi == UINT32_MAX && lo >= back.lo) return kMaxEdge;
+  for (const auto& iv : ivs) {
+    if (iv.lo <= lo && hi <= iv.hi) return kContained;
+  }
+  if (lo >= back.lo && lo <= back.hi + 1) return kExtendsLast;
+  const auto touched = std::count_if(ivs.begin(), ivs.end(), [&](const auto& iv) {
+    const bool below = iv.hi != UINT32_MAX && iv.hi + 1 < lo;
+    const bool above = hi != UINT32_MAX && hi + 1 < iv.lo;
+    return !below && !above;
+  });
+  if (touched == 1) return kWidensOther;
+  if (touched > 1) return kBridges;
+  if (hi < ivs.front().lo) return kNewBefore;
+  return lo > back.hi ? kNewAfter : kNewBetween;
+}
+
 TEST_P(TaskSetVsReference, RandomOperationsMatch) {
   Rng rng(GetParam());
-  TaskSet set;
-  std::set<std::uint32_t> reference;
-  for (int op = 0; op < 500; ++op) {
-    if (rng.bernoulli(0.7)) {
-      const auto v = static_cast<std::uint32_t>(rng.next_below(300));
-      set.insert(v);
-      reference.insert(v);
-    } else {
-      const auto lo = static_cast<std::uint32_t>(rng.next_below(280));
-      const auto len = static_cast<std::uint32_t>(rng.next_below(20));
-      set.insert_range(lo, lo + len);
-      for (std::uint32_t v = lo; v <= lo + len; ++v) reference.insert(v);
+  // Small ranks (from 16, leaving room below the lowest member); in odd
+  // rounds sometimes the top of the rank space, where interval ends must
+  // not overflow.
+  bool near_max = false;
+  const auto draw = [&rng, &near_max]() {
+    return near_max && rng.bernoulli(0.1)
+               ? UINT32_MAX - static_cast<std::uint32_t>(rng.next_below(16))
+               : 16 + static_cast<std::uint32_t>(rng.next_below(300));
+  };
+  const auto draw_hi = [&rng](std::uint32_t lo) {
+    const auto len = static_cast<std::uint32_t>(rng.next_below(20));
+    return lo > UINT32_MAX - len ? UINT32_MAX : lo + len;
+  };
+  std::array<int, kNumUnionBranches> branch_hits{};
+  // Five rounds from empty, so every round passes through sparse states
+  // (new intervals) as well as dense ones (coalescing).
+  for (int round = 0; round < 5; ++round) {
+    near_max = round % 2 == 1;
+    TaskSet set;
+    std::set<std::uint32_t> reference;
+    const auto reference_range = [&reference](std::uint32_t lo,
+                                              std::uint32_t hi) {
+      for (std::uint32_t v = lo;; ++v) {
+        reference.insert(v);
+        if (v == hi) break;
+      }
+    };
+    if (round == 0) {
+      // The rank-space edge, explicitly: {[max-1, max]} u {max}.
+      set = TaskSet::range(UINT32_MAX - 1, UINT32_MAX);
+      reference_range(UINT32_MAX - 1, UINT32_MAX);
+      ++branch_hits[classify_union(set, UINT32_MAX, UINT32_MAX)];
+      set.union_with(TaskSet::single(UINT32_MAX));
+    }
+    for (int op = 0; op < 100; ++op) {
+      const double kind = rng.next_double();
+      std::uint32_t lo = draw();
+      if (kind >= 0.8 && !set.empty()) {
+        // Around the lowest or the highest member. The fold's seeds arrive
+        // in rank order, so they land at or just past the highest one.
+        const std::uint64_t edge =
+            kind < 0.85 ? set.intervals().front().lo : set.max_task();
+        const std::uint64_t near = edge - std::min<std::uint64_t>(edge, 3) +
+                                   rng.next_below(7);  // edge-3 .. edge+3
+        lo = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(near, UINT32_MAX));
+      }
+      std::uint32_t hi = kind < 0.4 ? lo : draw_hi(lo);
+      if (kind < 0.4) {
+        set.insert(lo);
+      } else if (kind < 0.65) {
+        set.insert_range(lo, hi);
+      } else {
+        // union_with a one-interval set, the fold's seed-label shape.
+        if (rng.bernoulli(0.5)) hi = lo;
+        if (!set.empty()) ++branch_hits[classify_union(set, lo, hi)];
+        set.union_with(lo == hi ? TaskSet::single(lo) : TaskSet::range(lo, hi));
+      }
+      reference_range(lo, hi);
+    }
+    EXPECT_EQ(set.count(), reference.size());
+    const auto vec = set.to_vector();
+    EXPECT_TRUE(std::equal(vec.begin(), vec.end(), reference.begin(),
+                           reference.end()));
+    for (std::uint32_t v = 0; v < 340; ++v) {
+      EXPECT_EQ(set.contains(v), reference.contains(v)) << v;
+    }
+    for (std::uint32_t v = UINT32_MAX - 20;; ++v) {
+      EXPECT_EQ(set.contains(v), reference.contains(v)) << v;
+      if (v == UINT32_MAX) break;
+    }
+    // Intervals are sorted, disjoint, non-adjacent.
+    const auto& ivs = set.intervals();
+    for (std::size_t i = 1; i < ivs.size(); ++i) {
+      EXPECT_GT(ivs[i].lo, ivs[i - 1].hi + 1);
     }
   }
-  EXPECT_EQ(set.count(), reference.size());
-  const auto vec = set.to_vector();
-  EXPECT_TRUE(std::equal(vec.begin(), vec.end(), reference.begin()));
-  for (std::uint32_t v = 0; v < 310; ++v) {
-    EXPECT_EQ(set.contains(v), reference.contains(v)) << v;
-  }
-  // Intervals are sorted, disjoint, non-adjacent.
-  const auto& ivs = set.intervals();
-  for (std::size_t i = 1; i < ivs.size(); ++i) {
-    EXPECT_GT(ivs[i].lo, ivs[i - 1].hi + 1);
+  for (int b = 0; b < kNumUnionBranches; ++b) {
+    EXPECT_GT(branch_hits[b], 0) << "union_with branch " << b << " not drawn";
   }
 }
 
