@@ -4,6 +4,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -22,6 +23,12 @@ namespace petastat {
 /// (FAILED_PRECONDITION) from plain truncation/corruption
 /// (INVALID_ARGUMENT "truncated buffer").
 inline constexpr std::uint8_t kWireFormatVersion = 1;
+
+/// Bytes ByteSink::put_varint(v) writes: one per started group of 7 bits.
+/// Lets sizers measure an encoding arithmetically instead of encoding it.
+[[nodiscard]] constexpr std::size_t varint_size(std::uint64_t v) {
+  return static_cast<std::size_t>((std::bit_width(v | 1) + 6) / 7);
+}
 
 /// Append-only byte sink with varint and fixed-width encoders.
 class ByteSink {

@@ -3,13 +3,18 @@
 //
 // Each analysis node only represents tasks within its own subtree, as a list
 // of (daemon, daemon-local task indices) blocks. Merging along the tree is
-// block concatenation (daemon ids are disjoint across sibling subtrees).
+// block concatenation (daemon ids are disjoint across sibling subtrees). In
+// memory the blocks lie flat in one vector; on the wire each block is a
+// daemon delta plus a ranged task-set body, and the two layouts are
+// independent (the bytes do not depend on how the set is stored).
 // Because compute nodes are not guaranteed to map to daemons in MPI rank
 // order, the front end performs a final remap from (daemon, local index) to
 // global MPI rank using the process-table map collected once at setup.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -21,15 +26,13 @@
 
 namespace petastat::stat {
 
-/// Per-subtree task membership: sorted (daemon, local-index set) blocks.
+/// Per-subtree task membership: (daemon, local-index set) blocks, sorted by
+/// daemon, stored flat in one vector. Each block is the words
+/// [daemon, n, lo_0, hi_0, ..., lo_{n-1}, hi_{n-1}]: n >= 1 sorted, disjoint,
+/// inclusive intervals of daemon-local task indices. A copy, merge or
+/// rebuild of a label therefore costs one allocation, not one per block.
 class HierTaskSet {
  public:
-  struct Block {
-    std::uint32_t daemon = 0;
-    TaskSet local;  // daemon-local task indices
-    friend bool operator==(const Block&, const Block&) = default;
-  };
-
   HierTaskSet() = default;
 
   /// Singleton: local task `local_index` of `daemon`.
@@ -37,14 +40,30 @@ class HierTaskSet {
 
   /// Merge another subtree's membership into this one. Sibling subtrees
   /// cover disjoint daemons, so this is concatenation; same-daemon blocks
-  /// (re-merging within one daemon) union their local sets.
+  /// (re-merging within one daemon) union their local intervals. A
+  /// one-interval `other` (a trace's seed label) updates in place when the
+  /// result needs no slot added or emptied; every other result is rebuilt
+  /// at exact size.
   void merge(const HierTaskSet& other);
 
-  void insert(std::uint32_t daemon, std::uint32_t local_index);
+  void insert(std::uint32_t daemon, std::uint32_t local_index) {
+    merge(single(daemon, local_index));
+  }
 
   [[nodiscard]] std::uint64_t count() const;
-  [[nodiscard]] bool empty() const { return blocks_.empty(); }
-  [[nodiscard]] const std::vector<Block>& blocks() const { return blocks_; }
+  [[nodiscard]] bool empty() const { return words_.empty(); }
+
+  /// Visits the blocks in daemon order: f(daemon, bounds), where `bounds`
+  /// holds the block's local intervals as inclusive (lo, hi) pairs.
+  template <typename F>
+  void for_each_block(F&& f) const {
+    for (std::size_t at = 0; at < words_.size();) {
+      const std::size_t bounds = 2 * std::size_t{words_[at + 1]};
+      f(words_[at],
+        std::span<const std::uint32_t>(words_.data() + at + 2, bounds));
+      at += 2 + bounds;
+    }
+  }
 
   friend bool operator==(const HierTaskSet&, const HierTaskSet&) = default;
 
@@ -60,7 +79,14 @@ class HierTaskSet {
   static Result<HierTaskSet> decode_body(ByteSource& source);
 
  private:
-  std::vector<Block> blocks_;  // sorted by daemon
+  /// Unions the one-interval seed [lo, hi] of `daemon` into this set.
+  void merge_seed(std::uint32_t daemon, std::uint32_t lo, std::uint32_t hi);
+  /// Rebuilds words_ at exact size with `erase` words at `at` replaced by
+  /// `insert`.
+  void splice(std::size_t at, std::size_t erase,
+              std::initializer_list<std::uint32_t> insert);
+
+  std::vector<std::uint32_t> words_;  // blocks, sorted by daemon
 };
 
 /// The process-table map: daemon + local index -> global MPI rank. The

@@ -157,9 +157,9 @@ class PrefixTree {
   [[nodiscard]] std::size_t depth() const { return depth_of(root_); }
 
   /// Total wire size: a version byte, then per node the frame name, the
-  /// label, and the child count. The tree itself is not encoded, but a
-  /// hierarchical label measures its ranged body by encoding it into a
-  /// scratch ByteSink (dense labels are sized arithmetically).
+  /// label, and the child count. Nothing is encoded: dense labels and
+  /// hierarchical labels (summed varint sizes) are both sized
+  /// arithmetically.
   [[nodiscard]] std::uint64_t wire_bytes(const app::FrameTable& frames,
                                          const LabelContext& ctx) const {
     return 1 + node_wire_bytes(root_, frames, ctx);

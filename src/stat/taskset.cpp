@@ -248,9 +248,17 @@ Result<TaskSet> TaskSet::decode_ranged(ByteSource& source) {
 }
 
 std::uint64_t TaskSet::ranged_body_bytes() const {
-  ByteSink sink;
-  encode_ranged_body(sink);
-  return sink.size();
+  // Mirrors encode_ranged_body.
+  std::uint64_t bytes = varint_size(intervals_.size());
+  std::uint32_t prev_hi = 0;
+  bool first = true;
+  for (const auto& iv : intervals_) {
+    bytes += varint_size(first ? iv.lo : iv.lo - prev_hi - 1) +
+             varint_size(iv.hi - iv.lo);
+    prev_hi = iv.hi;
+    first = false;
+  }
+  return bytes;
 }
 
 void TaskSet::encode_ranged_body(ByteSink& sink) const {

@@ -17,16 +17,16 @@
 // proc caches the last payload of each child; a proc with a changed child is
 // *dirty* — it merges the changed arrivals (codec + merge per arrival) plus
 // its cached copies of the acknowledging children (StreamOps::
-// cached_merge_cpu, no codec) and forwards the re-merged payload, while a
-// proc whose children all acknowledged forwards an ack itself. Round 0 has
-// no baseline, so every leaf is changed and every proc re-merges; that is
-// the whole classic merge. The stream-only costs — the header bytes on each
-// payload message and the per-round signature charge — come from the
-// StreamOps, so an engine built from a plain ReduceOps moves and charges
-// exactly the classic bytes and CPU. Baselines and child caches are kept
-// only when a later round (run_round) or an armed kill
-// (set_retain_payloads) will read them; start() without retention moves
-// each payload straight through the tree.
+// cached_merge_cpu, no codec; priced once, when the payload is cached) and
+// forwards the re-merged payload, while a proc whose children all
+// acknowledged forwards an ack itself. Round 0 has no baseline, so every
+// leaf is changed and every proc re-merges; that is the whole classic
+// merge. The stream-only costs — the header bytes on each payload message
+// and the per-round signature charge — come from the StreamOps, so an
+// engine built from a plain ReduceOps moves and charges exactly the classic
+// bytes and CPU. Baselines and child caches are kept only when a later
+// round (run_round) or an armed kill (set_retain_payloads) will read them;
+// start() without retention moves each payload straight through the tree.
 //
 // Because the prefix-tree merge is canonical (order-independent and
 // associative), the round-k front-end payload is bit-identical to a
@@ -104,6 +104,8 @@ struct StreamOps {
   /// every round whether or not anything changed.
   std::function<SimTime(const Payload&)> signature_cpu;
   /// Proc CPU to re-merge one *cached* child payload (no unpack codec).
+  /// Called once per cached arrival; the price is stored with the payload
+  /// and charged on every later round the child acknowledges.
   std::function<SimTime(const Payload&)> cached_merge_cpu;
   /// CPU to encode or decode one bare-DeltaHeader ack. A control packet, not
   /// a payload: machine::control_packet_cost, an order of magnitude below
@@ -406,8 +408,14 @@ class Reduction {
   }
 
  private:
+  /// A child's last payload and its re-merge price: the payload never
+  /// changes while cached, so neither does its price.
+  struct CachedChild {
+    std::shared_ptr<const Payload> payload;
+    SimTime merge_cpu = 0;
+  };
   struct ProcCache {
-    std::unordered_map<std::uint32_t, std::shared_ptr<const Payload>> by_child;
+    std::unordered_map<std::uint32_t, CachedChild> by_child;
     std::unique_ptr<sim::Executor::Strand> strand;  // parallel mode only
     sim::Executor::TaskRef last_merge;  // the strand's newest task
   };
@@ -593,7 +601,11 @@ class Reduction {
     } else {
       rp.dirty = true;
       std::shared_ptr<const Payload> kept = std::move(payload);
-      if (!supplement) caches_[proc_index].by_child[from] = kept;
+      if (!supplement) {
+        const SimTime price =
+            ops_.cached_merge_cpu ? ops_.cached_merge_cpu(*kept) : 0;
+        caches_[proc_index].by_child[from] = {kept, price};
+      }
       merge_in(round, proc_index, [kept]() { return Payload(*kept); });
     }
     if (rp.pending == 0) finish(round, proc_index);
@@ -650,11 +662,11 @@ class Reduction {
           rp.acked.end()) {
         continue;  // this child's payload already merged on arrival
       }
-      const std::shared_ptr<const Payload> kept =
-          caches_[proc_index].by_child.at(child);
-      rp.cpu_free_at = std::max(sim_.now(), rp.cpu_free_at) +
-                       ops_.cached_merge_cpu(*kept);
-      merge_in(round, proc_index, [kept]() { return Payload(*kept); });
+      const CachedChild& cached = caches_[proc_index].by_child.at(child);
+      rp.cpu_free_at =
+          std::max(sim_.now(), rp.cpu_free_at) + cached.merge_cpu;
+      merge_in(round, proc_index,
+               [kept = cached.payload]() { return Payload(*kept); });
     }
     rp.acked.clear();
     // When the core frees up: collect the real accumulator (waiting out any

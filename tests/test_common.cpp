@@ -224,6 +224,25 @@ INSTANTIATE_TEST_SUITE_P(EdgeValues, VarintRoundtrip,
                                            (1ull << 63) - 1,
                                            ~0ull));
 
+TEST(Serializer, VarintSizeMatchesPutVarintAtEveryLengthBoundary) {
+  // The largest value of each byte length (2^(7k) - 1) and the smallest of
+  // the next (2^(7k)), for k = 1..9, plus 0 and UINT64_MAX (10 bytes).
+  std::vector<std::uint64_t> values = {0, UINT64_MAX};
+  for (int k = 1; k <= 9; ++k) {
+    const std::uint64_t first_of_next = std::uint64_t{1} << (7 * k);
+    values.push_back(first_of_next - 1);
+    values.push_back(first_of_next);
+  }
+  for (const std::uint64_t v : values) {
+    ByteSink sink;
+    sink.put_varint(v);
+    EXPECT_EQ(varint_size(v), sink.size()) << v;
+  }
+  EXPECT_EQ(varint_size(127), 1u);
+  EXPECT_EQ(varint_size(128), 2u);
+  EXPECT_EQ(varint_size(UINT64_MAX), 10u);
+}
+
 TEST(Serializer, StringRoundtrip) {
   ByteSink sink;
   sink.put_string("BGLML_Messager_advance");

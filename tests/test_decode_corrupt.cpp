@@ -328,6 +328,38 @@ TEST(PathologicalHeaders, HugeDaemonDeltaFailsCleanly) {
   EXPECT_FALSE(HierTaskSet::decode(source).is_ok());
 }
 
+TEST(PathologicalHeaders, EmptyHierBlockIsRejected) {
+  // No encoder emits a daemon block with zero intervals, and the flat
+  // in-memory layout cannot hold one.
+  ByteSink sink;
+  sink.put_u8(kWireFormatVersion);
+  sink.put_varint(2);  // two blocks
+  sink.put_varint(1);  // daemon 1
+  TaskSet::single(0).encode_ranged_body(sink);
+  sink.put_varint(0);  // daemon 2 ...
+  sink.put_varint(0);  // ... with no intervals
+  ByteSource source(sink.bytes());
+  auto decoded = HierTaskSet::decode(source);
+  ASSERT_FALSE(decoded.is_ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(PathologicalHeaders, HierBlockIntervalCountOverflowIsRejected) {
+  // A block's interval count is held in 32 bits: one beyond UINT32_MAX
+  // fails before any interval is read.
+  ByteSink sink;
+  sink.put_u8(kWireFormatVersion);
+  sink.put_varint(1);                      // one block
+  sink.put_varint(7);                      // daemon 7
+  sink.put_varint(std::uint64_t{UINT32_MAX} + 1);  // interval count
+  sink.put_varint(0);                      // gap
+  sink.put_varint(0);                      // length
+  ByteSource source(sink.bytes());
+  auto decoded = HierTaskSet::decode(source);
+  ASSERT_FALSE(decoded.is_ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(PathologicalHeaders, DeeplyNestedTreeFailsCleanly) {
   // A chain of single-child nodes a few bytes per level: without a decode
   // depth limit this recursed once per level and overflowed the stack.

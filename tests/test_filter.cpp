@@ -98,7 +98,10 @@ TEST_F(FilterFixture, HierOpsConcatenateDaemonBlocks) {
   ops.merge_into(acc, std::move(b));
   const auto* start = acc.tree_3d.root().find_child(frames.intern("_start"));
   ASSERT_NE(start, nullptr);
-  EXPECT_EQ(start->label.tasks.blocks().size(), 2u);
+  std::size_t blocks = 0;
+  start->label.tasks.for_each_block(
+      [&blocks](std::uint32_t, std::span<const std::uint32_t>) { ++blocks; });
+  EXPECT_EQ(blocks, 2u);
   EXPECT_EQ(start->label.tasks.count(), 2u);
 }
 

@@ -171,6 +171,39 @@ tbon::ReduceOps<SumPayload> sum_ops() {
   return ops;
 }
 
+/// The stream costs on top of sum_ops().
+tbon::StreamOps<SumPayload> stream_sum_ops() {
+  tbon::StreamOps<SumPayload> ops;
+  ops.base = sum_ops();
+  ops.signature_cpu = [](const SumPayload&) { return SimTime{20}; };
+  ops.cached_merge_cpu = [](const SumPayload&) { return SimTime{30}; };
+  ops.ack_cpu = SimTime{5 * kMicrosecond};
+  return ops;
+}
+
+/// Calls of the two per-payload merge pricers.
+struct PricingCalls {
+  std::uint64_t merge_cpu = 0;         // one per payload arrival
+  std::uint64_t cached_merge_cpu = 0;
+};
+
+/// `ops` with its merge pricers wrapped in call counters. The counters are
+/// bumped on the simulator thread, which prices every arrival.
+tbon::StreamOps<SumPayload> counted(tbon::StreamOps<SumPayload> ops,
+                                    PricingCalls& calls) {
+  ops.base.merge_cpu = [inner = ops.base.merge_cpu,
+                        &calls](const SumPayload& child) {
+    ++calls.merge_cpu;
+    return inner(child);
+  };
+  ops.cached_merge_cpu = [inner = ops.cached_merge_cpu,
+                          &calls](const SumPayload& child) {
+    ++calls.cached_merge_cpu;
+    return inner(child);
+  };
+  return ops;
+}
+
 std::vector<SumPayload> numbered_leaves(std::uint32_t daemons,
                                         std::uint64_t& expected) {
   std::vector<SumPayload> leaves(daemons);
@@ -312,12 +345,9 @@ TEST_P(MultiRoundKill, EveryRoundSumsEachLeafExactlyOnce) {
 
   sim::Simulator simulator;
   net::Network network(simulator, net::build_switch_graph(m));
-  tbon::StreamOps<SumPayload> ops;
-  ops.base = sum_ops();
-  ops.signature_cpu = [](const SumPayload&) { return SimTime{20}; };
-  ops.cached_merge_cpu = [](const SumPayload&) { return SimTime{30}; };
-  ops.ack_cpu = SimTime{5 * kMicrosecond};
-  tbon::StreamingReduction<SumPayload> engine(simulator, network, topo, ops);
+  PricingCalls calls;
+  tbon::StreamingReduction<SumPayload> engine(
+      simulator, network, topo, counted(stream_sum_ops(), calls));
 
   constexpr std::uint32_t kRounds = 5;
   constexpr std::uint32_t kKillRound = 2;
@@ -362,6 +392,66 @@ TEST_P(MultiRoundKill, EveryRoundSumsEachLeafExactlyOnce) {
   EXPECT_EQ(report->lost_daemons, 0u);
   EXPECT_GE(report->adopters, 1u);
   for (const bool dead : engine.dead_daemons()) EXPECT_FALSE(dead);
+  // Every cached child was priced when it arrived, never per round: a
+  // re-opened adopter's supplement arrives without being cached.
+  EXPECT_GT(calls.cached_merge_cpu, 0u);
+  EXPECT_LE(calls.cached_merge_cpu, calls.merge_cpu);
+}
+
+// The re-merge price of a cached child is a function of a payload that
+// does not change while cached, so the engine prices it once, when it
+// caches the payload, and charges that price on every round the child
+// acknowledges. The pricer runs once per cached arrival — here, with one
+// daemon changing per round, once per dirty proc — and the round timings
+// are those of pricing every acknowledging child every round.
+TEST(ReductionPricing, CachedChildIsPricedOncePerArrival) {
+  const auto m = machine::atlas();
+  const auto layout = layout_of(m, 256);  // 32 daemons
+  const auto topo =
+      tbon::build_topology(m, layout, tbon::TopologySpec::balanced(2)).value();
+  sim::Simulator simulator;
+  net::Network network(simulator, net::build_switch_graph(m));
+  PricingCalls calls;
+  tbon::StreamingReduction<SumPayload> engine(
+      simulator, network, topo, counted(stream_sum_ops(), calls));
+
+  constexpr std::uint32_t kRounds = 5;
+  std::vector<std::uint64_t> value(layout.num_daemons);
+  for (std::uint32_t d = 0; d < layout.num_daemons; ++d) value[d] = d * 1000;
+  std::vector<SimTime> finished;
+  for (std::uint32_t round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    if (round > 0) value[(round * 7) % layout.num_daemons] += round;
+    std::vector<SumPayload> leaves(layout.num_daemons);
+    std::uint64_t expected = 0;
+    for (std::uint32_t d = 0; d < layout.num_daemons; ++d) {
+      leaves[d] = {value[d], 1};
+      expected += leaves[d].sum;
+    }
+    const PricingCalls before = calls;
+    std::optional<tbon::StreamRoundResult<SumPayload>> result;
+    engine.run_round(round, std::move(leaves),
+                     [&result](tbon::StreamRoundResult<SumPayload> r) {
+                       result = std::move(r);
+                     });
+    simulator.run();
+    ASSERT_TRUE(result.has_value()) << "round stalled";
+    EXPECT_EQ(result->payload.sum, expected);
+    const std::uint64_t arrivals = calls.merge_cpu - before.merge_cpu;
+    const std::uint64_t priced =
+        calls.cached_merge_cpu - before.cached_merge_cpu;
+    EXPECT_EQ(priced, arrivals);
+    if (round > 0) {
+      EXPECT_EQ(result->changed_daemons, 1u);
+      EXPECT_GT(result->cached_procs, 0u);
+      EXPECT_EQ(priced, result->remerged_procs);
+    }
+    finished.push_back(result->finished_at);
+  }
+  // Round completion times with every acknowledging child priced each
+  // round, recorded before pricing moved to the cache fill.
+  EXPECT_EQ(finished, (std::vector<SimTime>{775575, 1100190, 1424805,
+                                            1749450, 2072065}));
 }
 
 // Kill before anything reaches the victim, while its children's arrivals
