@@ -41,8 +41,8 @@ RingHangApp::RingHangApp(RingHangOptions options) : options_(std::move(options))
   f_cmadvance_ = frames_.intern("BGLML_Messager_CMadvance");
 }
 
-CallPath RingHangApp::stack(TaskId task, std::uint32_t thread,
-                            std::uint32_t sample) const {
+void RingHangApp::stack_into(TaskId task, std::uint32_t thread,
+                             std::uint32_t sample, CallPath& out) const {
   check(task.value() < options_.num_tasks, "RingHangApp::stack task out of range");
   Rng rng = trace_rng(options_.seed, task.value(), thread,
                       noise_sample(options_.evolution, sample));
@@ -50,45 +50,44 @@ CallPath RingHangApp::stack(TaskId task, std::uint32_t thread,
   // Before the hang onset, tasks 1 and 2 are still healthy and sit in the
   // barrier with everyone else (onset 0 = hung from the start).
   const bool hung = sample >= options_.hang_onset_sample;
-  CallPath path{f_start_, f_main_};
+  out.assign({f_start_, f_main_});
   if (task.value() == 1 && hung) {
     // The injected bug: task 1 stalls before its send, polling the clock.
-    path.push_back(f_send_or_stall_);
-    path.push_back(f_gettimeofday_);
-    return path;
+    out.push_back(f_send_or_stall_);
+    out.push_back(f_gettimeofday_);
+    return;
   }
   if (task.value() == 2 && hung) {
     // Task 2 never receives from task 1: stuck in MPI_Waitall driving the
     // progress engine.
-    path.push_back(f_waitall_);
-    path.push_back(f_progress_wait_);
-    path.push_back(f_pollfcn_);
+    out.push_back(f_waitall_);
+    out.push_back(f_progress_wait_);
+    out.push_back(f_pollfcn_);
     const std::uint32_t spins = static_cast<std::uint32_t>(rng.next_below(3));
     for (std::uint32_t i = 0; i < spins; ++i) {
-      path.push_back(f_advance_);
-      path.push_back(f_cmadvance_);
+      out.push_back(f_advance_);
+      out.push_back(f_cmadvance_);
     }
-    return path;
+    return;
   }
   // Everyone else made it to the barrier and churns in the messager advance
   // loop at a sample-dependent depth; the depth spread produces the nested
   // sub-classes of Figure 1 (e.g. 577/275/264 of the 1022 barrier tasks).
-  path.push_back(f_barrier_);
-  path.push_back(f_gi_barrier_);
-  path.push_back(f_bglmp_gibarrier_);
-  path.push_back(f_pollfcn_);
+  out.push_back(f_barrier_);
+  out.push_back(f_gi_barrier_);
+  out.push_back(f_bglmp_gibarrier_);
+  out.push_back(f_pollfcn_);
   // Depth distribution: ~44% stop at pollfcn+advance, then tail off.
   const double u = rng.next_double();
   std::uint32_t depth = 0;
   if (u < 0.56) depth = 1;
   if (u < 0.27) depth = 2;
   if (u < 0.10) depth = 3;
-  path.push_back(f_advance_);
+  out.push_back(f_advance_);
   for (std::uint32_t i = 0; i < depth; ++i) {
-    path.push_back(f_cmadvance_);
-    if (i + 1 < depth) path.push_back(f_advance_);
+    out.push_back(f_cmadvance_);
+    if (i + 1 < depth) out.push_back(f_advance_);
   }
-  return path;
 }
 
 // ---------------------------------------------------------------------------
@@ -97,8 +96,8 @@ CallPath RingHangApp::stack(TaskId task, std::uint32_t thread,
 ThreadedRingApp::ThreadedRingApp(ThreadedRingOptions options)
     : options_(options), ring_(options.ring) {
   check(options_.threads_per_task >= 1, "threads_per_task must be >= 1");
-  // Pre-intern every worker-thread frame: stack() must be read-only on the
-  // frame table so parallel samplers can synthesize traces concurrently.
+  // Pre-intern every worker-thread frame: stack_into() must be read-only on
+  // the frame table so parallel samplers can synthesize traces concurrently.
   FrameTable& table = frames();
   f_clone_ = table.intern("clone");
   f_start_thread_ = table.intern("start_thread");
@@ -109,20 +108,22 @@ ThreadedRingApp::ThreadedRingApp(ThreadedRingOptions options)
   f_memcpy_ = table.intern("__memcpy");
 }
 
-CallPath ThreadedRingApp::stack(TaskId task, std::uint32_t thread,
-                                std::uint32_t sample) const {
-  if (thread == 0) return ring_.stack(task, 0, sample);
+void ThreadedRingApp::stack_into(TaskId task, std::uint32_t thread,
+                                 std::uint32_t sample, CallPath& out) const {
+  if (thread == 0) {
+    ring_.stack_into(task, 0, sample, out);
+    return;
+  }
   // Worker threads: OpenMP-style compute kernel with two hot inner loops.
   Rng rng = trace_rng(options_.ring.seed * 31, task.value(), thread,
                       noise_sample(options_.ring.evolution, sample));
-  CallPath path{f_clone_, f_start_thread_, f_gomp_start_, f_kernel_};
+  out.assign({f_clone_, f_start_thread_, f_gomp_start_, f_kernel_});
   if (rng.bernoulli(0.6)) {
-    path.push_back(f_stencil_);
+    out.push_back(f_stencil_);
   } else {
-    path.push_back(f_reduce_);
-    if (rng.bernoulli(0.5)) path.push_back(f_memcpy_);
+    out.push_back(f_reduce_);
+    if (rng.bernoulli(0.5)) out.push_back(f_memcpy_);
   }
-  return path;
 }
 
 // ---------------------------------------------------------------------------
@@ -146,39 +147,38 @@ IoStallApp::IoStallApp(IoStallOptions options) : options_(std::move(options)) {
   f_advance_ = frames_.intern("BGLML_Messager_advance");
 }
 
-CallPath IoStallApp::stack(TaskId task, std::uint32_t thread,
-                           std::uint32_t sample) const {
+void IoStallApp::stack_into(TaskId task, std::uint32_t thread,
+                            std::uint32_t sample, CallPath& out) const {
   check(task.value() < options_.num_tasks, "IoStallApp::stack task out of range");
   Rng rng = trace_rng(options_.seed, task.value(), thread,
                       noise_sample(options_.evolution, sample));
 
-  CallPath path{f_start_, f_main_};
+  out.assign({f_start_, f_main_});
   if (is_aggregator(task)) {
     // Wedged in the collective checkpoint write. Most aggregators are deep
     // in the FS client waiting on the unresponsive server; a stable subset
     // (per task, not per sample — the hang is persistent) spins on the
     // shared-file write lock instead.
-    path.push_back(f_checkpoint_);
-    path.push_back(f_write_all_);
+    out.push_back(f_checkpoint_);
+    out.push_back(f_write_all_);
     Rng task_rng(options_.seed, /*stream_id=*/task.value());
     if (task_rng.bernoulli(0.25)) {
-      path.push_back(f_lock_spin_);
-      path.push_back(f_sched_yield_);
+      out.push_back(f_lock_spin_);
+      out.push_back(f_sched_yield_);
     } else {
-      path.push_back(f_fwrite_);
-      path.push_back(f_write_nocancel_);
-      path.push_back(f_nfs_wait_);
+      out.push_back(f_fwrite_);
+      out.push_back(f_write_nocancel_);
+      out.push_back(f_nfs_wait_);
     }
-    return path;
+    return;
   }
   // Everyone else reached the post-checkpoint barrier and churns the
   // progress engine at a sample-varying depth (the time dimension).
-  path.push_back(f_barrier_);
-  path.push_back(f_progress_wait_);
-  path.push_back(f_pollfcn_);
+  out.push_back(f_barrier_);
+  out.push_back(f_progress_wait_);
+  out.push_back(f_pollfcn_);
   const std::uint32_t spins = static_cast<std::uint32_t>(rng.next_below(2));
-  for (std::uint32_t i = 0; i < spins; ++i) path.push_back(f_advance_);
-  return path;
+  for (std::uint32_t i = 0; i < spins; ++i) out.push_back(f_advance_);
 }
 
 // ---------------------------------------------------------------------------
@@ -221,18 +221,18 @@ bool ImbalanceApp::drifts_at(TaskId task, std::uint32_t sample) const {
   return (sample + drift_phase(task)) % options_.drift_period == 0;
 }
 
-CallPath ImbalanceApp::stack(TaskId task, std::uint32_t thread,
-                             std::uint32_t sample) const {
+void ImbalanceApp::stack_into(TaskId task, std::uint32_t thread,
+                              std::uint32_t sample, CallPath& out) const {
   check(task.value() < options_.num_tasks, "ImbalanceApp::stack out of range");
   Rng rng = trace_rng(options_.seed, task.value(), thread,
                       noise_sample(options_.evolution, sample));
 
-  CallPath path{f_start_, f_main_};
+  out.assign({f_start_, f_main_});
   if (is_straggler(task)) {
     // Still refining an oversized subdomain: a recursive refine_cell chain
     // whose depth is a stable per-task signature of how much work that rank
     // was dealt (the hang diagnosis the classes must surface).
-    path.push_back(f_solve_);
+    out.push_back(f_solve_);
     Rng task_rng(options_.seed, /*stream_id=*/task.value());
     std::uint32_t depth =
         options_.min_recursion +
@@ -244,20 +244,19 @@ CallPath ImbalanceApp::stack(TaskId task, std::uint32_t thread,
       // s' in [1, sample] with (s' + phase) % period == 0.
       depth += (sample + drift_phase(task)) / options_.drift_period;
     }
-    for (std::uint32_t i = 0; i < depth; ++i) path.push_back(f_refine_);
+    for (std::uint32_t i = 0; i < depth; ++i) out.push_back(f_refine_);
     // The straggler is actively computing, so the leaf varies sample to
     // sample (the 3D tree's time dimension).
-    path.push_back(rng.bernoulli(0.7) ? f_kernel_ : f_flux_);
-    return path;
+    out.push_back(rng.bernoulli(0.7) ? f_kernel_ : f_flux_);
+    return;
   }
   // Everyone else finished its subdomain and is idle in the phase barrier,
   // churning the progress engine at a sample-varying depth.
-  path.push_back(f_barrier_);
-  path.push_back(f_progress_wait_);
-  path.push_back(f_pollfcn_);
+  out.push_back(f_barrier_);
+  out.push_back(f_progress_wait_);
+  out.push_back(f_pollfcn_);
   const std::uint32_t spins = static_cast<std::uint32_t>(rng.next_below(2));
-  for (std::uint32_t i = 0; i < spins; ++i) path.push_back(f_advance_);
-  return path;
+  for (std::uint32_t i = 0; i < spins; ++i) out.push_back(f_advance_);
 }
 
 // ---------------------------------------------------------------------------
@@ -287,44 +286,43 @@ OomCascadeApp::OomCascadeApp(OomCascadeOptions options)
   f_advance_ = frames_.intern("BGLML_Messager_advance");
 }
 
-CallPath OomCascadeApp::stack(TaskId task, std::uint32_t thread,
-                              std::uint32_t sample) const {
+void OomCascadeApp::stack_into(TaskId task, std::uint32_t thread,
+                               std::uint32_t sample, CallPath& out) const {
   check(task.value() < options_.num_tasks, "OomCascadeApp::stack out of range");
   Rng rng = trace_rng(options_.seed, task.value(), thread,
                       noise_sample(options_.evolution, sample));
 
-  CallPath path{f_start_, f_main_};
+  out.assign({f_start_, f_main_});
   if (task == options_.victim_task) {
     // The allocation spiral: one morecore level deeper per sample until the
     // node dies. (The daemon is dead past kill_sample; if a planner probe
     // still asks, it sees the terminal spiral.)
-    path.push_back(f_fill_);
-    path.push_back(f_malloc_);
+    out.push_back(f_fill_);
+    out.push_back(f_malloc_);
     const std::uint32_t depth =
         1 + std::min(sample, options_.kill_sample);
-    for (std::uint32_t i = 0; i < depth; ++i) path.push_back(f_morecore_);
-    path.push_back(f_sbrk_);
-    return path;
+    for (std::uint32_t i = 0; i < depth; ++i) out.push_back(f_morecore_);
+    out.push_back(f_sbrk_);
+    return;
   }
   if (is_neighbour(task) && sample >= cascade_onset(task)) {
     // Inherited traffic: the victim's messages re-route here once the
     // cascade front reaches this rank; the retransmit depth is a stable
     // per-rank signature, the leaf varies sample to sample.
-    path.push_back(f_exchange_);
-    path.push_back(f_peer_wait_);
+    out.push_back(f_exchange_);
+    out.push_back(f_peer_wait_);
     const std::uint32_t depth = 1 + distance_to_victim(task) % 3;
-    for (std::uint32_t i = 0; i < depth; ++i) path.push_back(f_retransmit_);
-    path.push_back(rng.bernoulli(0.5) ? f_pollfcn_ : f_advance_);
-    return path;
+    for (std::uint32_t i = 0; i < depth; ++i) out.push_back(f_retransmit_);
+    out.push_back(rng.bernoulli(0.5) ? f_pollfcn_ : f_advance_);
+    return;
   }
   // Everyone else (and not-yet-reached neighbours) idles in the phase
   // barrier, churning the progress engine at a sample-varying depth.
-  path.push_back(f_barrier_);
-  path.push_back(f_progress_wait_);
-  path.push_back(f_pollfcn_);
+  out.push_back(f_barrier_);
+  out.push_back(f_progress_wait_);
+  out.push_back(f_pollfcn_);
   const std::uint32_t spins = static_cast<std::uint32_t>(rng.next_below(2));
-  for (std::uint32_t i = 0; i < spins; ++i) path.push_back(f_advance_);
-  return path;
+  for (std::uint32_t i = 0; i < spins; ++i) out.push_back(f_advance_);
 }
 
 // ---------------------------------------------------------------------------
@@ -372,8 +370,8 @@ std::uint32_t StatBenchApp::class_of(TaskId task) const {
   return options_.num_classes - 1;
 }
 
-CallPath StatBenchApp::stack(TaskId task, std::uint32_t /*thread*/,
-                             std::uint32_t sample) const {
+void StatBenchApp::stack_into(TaskId task, std::uint32_t /*thread*/,
+                              std::uint32_t sample, CallPath& out) const {
   check(task.value() < options_.num_tasks, "StatBenchApp::stack out of range");
   // Tasks mostly stay in their class; a small sample-dependent fraction
   // wander (time dimension of the 3D tree).
@@ -383,7 +381,7 @@ CallPath StatBenchApp::stack(TaskId task, std::uint32_t /*thread*/,
   if (rng.bernoulli(0.05)) {
     cls = static_cast<std::uint32_t>(rng.next_below(options_.num_classes));
   }
-  return class_paths_[cls];
+  out = class_paths_[cls];
 }
 
 // ---------------------------------------------------------------------------

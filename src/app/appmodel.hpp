@@ -68,10 +68,20 @@ class AppModel {
   [[nodiscard]] virtual std::uint32_t num_tasks() const = 0;
   [[nodiscard]] virtual std::uint32_t threads_per_task() const { return 1; }
 
-  /// Ground-truth stack of (task, thread) at sample `sample`. Deterministic
-  /// in (task, thread, sample) given the model seed.
-  [[nodiscard]] virtual CallPath stack(TaskId task, std::uint32_t thread,
-                                       std::uint32_t sample) const = 0;
+  /// Writes the ground-truth stack of (task, thread) at sample `sample`
+  /// into `out`, replacing its contents (a reused buffer keeps its
+  /// capacity). Deterministic in (task, thread, sample) given the model
+  /// seed.
+  virtual void stack_into(TaskId task, std::uint32_t thread,
+                          std::uint32_t sample, CallPath& out) const = 0;
+
+  /// Value form of stack_into.
+  [[nodiscard]] CallPath stack(TaskId task, std::uint32_t thread,
+                               std::uint32_t sample) const {
+    CallPath path;
+    stack_into(task, thread, sample, path);
+    return path;
+  }
 
   [[nodiscard]] virtual const AppBinarySpec& binaries() const = 0;
 
@@ -103,8 +113,8 @@ class RingHangApp : public AppModel {
   [[nodiscard]] std::uint32_t num_tasks() const override {
     return options_.num_tasks;
   }
-  [[nodiscard]] CallPath stack(TaskId task, std::uint32_t thread,
-                               std::uint32_t sample) const override;
+  void stack_into(TaskId task, std::uint32_t thread, std::uint32_t sample,
+                  CallPath& out) const override;
   [[nodiscard]] const AppBinarySpec& binaries() const override {
     return options_.binaries;
   }
@@ -134,8 +144,8 @@ class ThreadedRingApp : public AppModel {
   [[nodiscard]] std::uint32_t threads_per_task() const override {
     return options_.threads_per_task;
   }
-  [[nodiscard]] CallPath stack(TaskId task, std::uint32_t thread,
-                               std::uint32_t sample) const override;
+  void stack_into(TaskId task, std::uint32_t thread, std::uint32_t sample,
+                  CallPath& out) const override;
   [[nodiscard]] const AppBinarySpec& binaries() const override {
     return ring_.binaries();
   }
@@ -144,7 +154,7 @@ class ThreadedRingApp : public AppModel {
  private:
   ThreadedRingOptions options_;
   RingHangApp ring_;
-  // Pre-interned worker-thread frames (stack() stays read-only).
+  // Pre-interned worker-thread frames (stack_into() stays read-only).
   FrameId f_clone_, f_start_thread_, f_gomp_start_, f_kernel_;
   FrameId f_stencil_, f_reduce_, f_memcpy_;
 };
@@ -174,8 +184,8 @@ class IoStallApp : public AppModel {
   [[nodiscard]] std::uint32_t num_tasks() const override {
     return options_.num_tasks;
   }
-  [[nodiscard]] CallPath stack(TaskId task, std::uint32_t thread,
-                               std::uint32_t sample) const override;
+  void stack_into(TaskId task, std::uint32_t thread, std::uint32_t sample,
+                  CallPath& out) const override;
   [[nodiscard]] const AppBinarySpec& binaries() const override {
     return options_.binaries;
   }
@@ -186,7 +196,7 @@ class IoStallApp : public AppModel {
 
  private:
   IoStallOptions options_;
-  // Pre-interned frames (stack() stays read-only for parallel samplers).
+  // Pre-interned frames (stack_into() stays read-only for parallel samplers).
   FrameId f_start_, f_main_, f_checkpoint_;
   FrameId f_write_all_, f_fwrite_, f_write_nocancel_, f_nfs_wait_;
   FrameId f_lock_spin_, f_sched_yield_;
@@ -230,8 +240,8 @@ class ImbalanceApp : public AppModel {
   [[nodiscard]] std::uint32_t num_tasks() const override {
     return options_.num_tasks;
   }
-  [[nodiscard]] CallPath stack(TaskId task, std::uint32_t thread,
-                               std::uint32_t sample) const override;
+  void stack_into(TaskId task, std::uint32_t thread, std::uint32_t sample,
+                  CallPath& out) const override;
   [[nodiscard]] const AppBinarySpec& binaries() const override {
     return options_.binaries;
   }
@@ -249,7 +259,7 @@ class ImbalanceApp : public AppModel {
 
  private:
   ImbalanceOptions options_;
-  // Pre-interned frames (stack() stays read-only for parallel samplers).
+  // Pre-interned frames (stack_into() stays read-only for parallel samplers).
   FrameId f_start_, f_main_, f_solve_, f_refine_, f_kernel_, f_flux_;
   FrameId f_barrier_, f_progress_wait_, f_pollfcn_, f_advance_;
 };
@@ -289,8 +299,8 @@ class OomCascadeApp : public AppModel {
   [[nodiscard]] std::uint32_t num_tasks() const override {
     return options_.num_tasks;
   }
-  [[nodiscard]] CallPath stack(TaskId task, std::uint32_t thread,
-                               std::uint32_t sample) const override;
+  void stack_into(TaskId task, std::uint32_t thread, std::uint32_t sample,
+                  CallPath& out) const override;
   [[nodiscard]] const AppBinarySpec& binaries() const override {
     return options_.binaries;
   }
@@ -317,7 +327,7 @@ class OomCascadeApp : public AppModel {
   }
 
   OomCascadeOptions options_;
-  // Pre-interned frames (stack() stays read-only for parallel samplers).
+  // Pre-interned frames (stack_into() stays read-only for parallel samplers).
   FrameId f_start_, f_main_;
   FrameId f_fill_, f_malloc_, f_morecore_, f_sbrk_;
   FrameId f_exchange_, f_peer_wait_, f_retransmit_;
@@ -346,8 +356,8 @@ class StatBenchApp : public AppModel {
   [[nodiscard]] std::uint32_t num_tasks() const override {
     return options_.num_tasks;
   }
-  [[nodiscard]] CallPath stack(TaskId task, std::uint32_t thread,
-                               std::uint32_t sample) const override;
+  void stack_into(TaskId task, std::uint32_t thread, std::uint32_t sample,
+                  CallPath& out) const override;
   [[nodiscard]] const AppBinarySpec& binaries() const override {
     return options_.binaries;
   }

@@ -89,22 +89,20 @@ void probe_leaves(const app::AppModel& app, const machine::DaemonLayout& layout,
   double leaf_nodes_sum = 0.0;
   Leaf merged;
   std::uint32_t merged_daemons = 0;
+  app::TraceBatch batch;
   for (const std::uint32_t k : ks) {
     for (std::uint32_t d = merged_daemons; d < k; ++d) {
-      Leaf leaf;
-      const std::uint32_t count = layout.tasks_of(DaemonId(d));
-      const std::uint32_t threads = app.threads_per_task();
-      for (std::uint32_t s = 0; s < num_samples; ++s) {
-        for (std::uint32_t t = 0; t < count; ++t) {
-          const TaskId task = TaskId(task_map.global_rank(d, t));
-          for (std::uint32_t th = 0; th < threads; ++th) {
-            const app::CallPath path = app.stack(task, th, s);
-            frames_sum += static_cast<double>(path.size());
-            ++traces;
-            stat::insert_trace(leaf, path, d, t, task, s);
-          }
-        }
+      batch.clear();
+      batch.synthesize(app, layout.tasks_of(DaemonId(d)), 0, num_samples,
+                       [&task_map, d](std::uint32_t t) {
+                         return TaskId(task_map.global_rank(d, t));
+                       });
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        frames_sum += static_cast<double>(batch.path(i).size());
       }
+      traces += batch.size();
+      Leaf leaf;
+      stat::fold_batch(leaf, batch, d);
       leaf_bytes_sum += static_cast<double>(leaf_wire_bytes(leaf, frames, ctx));
       leaf_nodes_sum += static_cast<double>(leaf.node_count());
       merged.merge(leaf);

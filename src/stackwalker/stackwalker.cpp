@@ -69,29 +69,29 @@ void StackWalker::sample_daemon_from(DaemonId daemon,
 
   const std::uint32_t first = layout_.first_task_of(daemon);
   const std::uint32_t count = layout_.tasks_of(daemon);
-  const std::uint32_t threads = app_.threads_per_task();
 
-  // The synthesis job: ground-truth stacks plus their walk-cost tally. Pure
-  // per-daemon work (app reads + sink into this daemon's payload), so it may
-  // run on a worker while other daemons' events proceed.
+  // The synthesis job: the daemon's trace batch plus its walk-cost tally.
+  // Pure per-daemon work (app reads + sink into this daemon's payload), so
+  // it may run on a worker while other daemons' events proceed.
   struct Synthesis {
     double walk_s = 0.0;
     std::uint32_t traces = 0;
   };
   auto synthesis = std::make_shared<Synthesis>();
-  auto job = [this, synthesis, sink, daemon, first, count, threads,
-              first_sample, num_samples]() {
-    for (std::uint32_t s = first_sample; s < first_sample + num_samples; ++s) {
-      for (std::uint32_t t = 0; t < count; ++t) {
-        const TaskId task = resolver_ ? resolver_(daemon, t) : TaskId(first + t);
-        for (std::uint32_t th = 0; th < threads; ++th) {
-          const app::CallPath path = app_.stack(task, th, s);
-          synthesis->walk_s += to_seconds(walk_cost(path.size()));
-          ++synthesis->traces;
-          sink(task, t, th, s, path);
-        }
-      }
+  auto job = [this, synthesis, sink, daemon, first, count, first_sample,
+              num_samples]() {
+    app::TraceBatch batch;
+    batch.synthesize(app_, count, first_sample, num_samples,
+                     [this, daemon, first](std::uint32_t t) {
+                       return resolver_ ? resolver_(daemon, t)
+                                        : TaskId(first + t);
+                     });
+    // Walks are priced per trace, in walk order.
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      synthesis->walk_s += to_seconds(walk_cost(batch.path(i).size()));
     }
+    synthesis->traces = static_cast<std::uint32_t>(batch.size());
+    sink(batch);
   };
   sim::Executor::TaskRef pending =
       executor_ ? executor_->run(std::move(job)) : (job(), nullptr);

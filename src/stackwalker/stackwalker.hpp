@@ -14,15 +14,16 @@
 //   2. num_samples rounds of walking every local task's threads; each walk
 //      charges per-process attach plus per-frame cost, scaled by the CPU
 //      contention factor where the daemon shares the node.
-//   3. Traces are pushed into a TraceSink as they are collected; the caller
-//      (the STAT daemon) folds them into its local prefix trees and charges
-//      its own merge CPU.
+//   3. The pass's traces go to a TraceSink as one batch; the caller (the
+//      STAT daemon) folds them into its local prefix trees. The daemon's
+//      local merge CPU is part of the per-trace walk cost.
 #pragma once
 
 #include <functional>
 #include <unordered_set>
 
 #include "app/appmodel.hpp"
+#include "app/trace_batch.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "fs/filesystem.hpp"
@@ -33,12 +34,12 @@
 
 namespace petastat::stackwalker {
 
-/// Receives ground-truth traces as they are gathered. `task` is the global
-/// MPI rank (via the task resolver); `local_index` is the daemon-local slot,
-/// which the hierarchical representation labels with.
-using TraceSink = std::function<void(TaskId task, std::uint32_t local_index,
-                                     std::uint32_t thread, std::uint32_t sample,
-                                     const app::CallPath& path)>;
+/// Receives one daemon pass's ground-truth traces, once per pass, on the
+/// job that synthesized them. Each trace carries its global MPI rank (via
+/// the task resolver), its daemon-local slot (which the hierarchical
+/// representation labels with) and its sample, in walk order: sample-major,
+/// then local index, then thread. The batch lives only for the call.
+using TraceSink = std::function<void(const app::TraceBatch& batch)>;
 
 /// Phase breakdown of one daemon's sampling pass.
 struct SampleReport {
@@ -67,13 +68,14 @@ class StackWalker {
   ///
   /// The symbol-acquisition I/O, the contention draw, and every modelled
   /// duration are fixed on the simulator thread, in call order. The trace
-  /// synthesis itself (app stacks + `sink` per trace) is real work with no
-  /// effect on virtual time: with a parallel executor installed it runs on a
-  /// worker — one job per daemon, daemons being independent — and is waited
-  /// for before the daemon's completion event consumes the traces. `sink`
-  /// must therefore only touch per-daemon state, and the app model's frame
-  /// table must be fully interned up front (models do this in their
-  /// constructors) so concurrent stack() calls are read-only.
+  /// synthesis itself (the pass's batch of app stacks, then one `sink`
+  /// call) is real work with no effect on virtual time: with a parallel
+  /// executor installed it runs on a worker — one job per daemon, daemons
+  /// being independent — and is waited for before the daemon's completion
+  /// event consumes the traces. `sink` must therefore only touch per-daemon
+  /// state, and the app model's frame table must be fully interned up front
+  /// (models do this in their constructors) so concurrent stack_into() calls
+  /// are read-only.
   void sample_daemon(DaemonId daemon, std::uint32_t num_samples,
                      const TraceSink& sink, SampleCallback done);
 

@@ -13,7 +13,9 @@
 #include <type_traits>
 
 #include "app/callpath.hpp"
+#include "app/trace_batch.hpp"
 #include "machine/cost_model.hpp"
+#include "stat/path_groups.hpp"
 #include "stat/prefix_tree.hpp"
 #include "tbon/reduction.hpp"
 
@@ -47,10 +49,8 @@ template <typename Label>
 }
 
 /// Folds one gathered trace into a daemon's payload: the first sample seeds
-/// the 2D trace/space tree, every sample the 3D trace/space/time tree.
-/// One formulation, two consumers: the scenario's sampling sinks and the
-/// planner's workload probe both fold traces through here (and the
-/// StreamSnapshot overload), so predicted payloads follow the same rule.
+/// the 2D trace/space tree, every sample the 3D trace/space/time tree. The
+/// per-trace reference the grouped fold (fold_batch) must match exactly.
 template <typename Label>
 void insert_trace(StatPayload<Label>& payload, const app::CallPath& path,
                   std::uint32_t daemon, std::uint32_t local_index, TaskId task,
@@ -58,6 +58,41 @@ void insert_trace(StatPayload<Label>& payload, const app::CallPath& path,
   const Label seed = seed_label<Label>(daemon, local_index, task);
   if (sample == 0) payload.tree_2d.insert(path, seed);
   payload.tree_3d.insert(path, seed);
+}
+
+/// Group `g`'s label over `samples`, per representation.
+template <typename Label>
+[[nodiscard]] Label group_label(const PathGroups& groups, std::size_t g,
+                                PathGroups::Samples samples,
+                                [[maybe_unused]] std::uint32_t daemon) {
+  if constexpr (std::is_same_v<Label, GlobalLabel>) {
+    return groups.global_label(g, samples);
+  } else {
+    return groups.hier_label(g, samples, daemon);
+  }
+}
+
+/// The grouped fold: folds one daemon pass's traces into its payload, each
+/// distinct call path once per tree, with the label of every trace on it
+/// and `visits` equal to their number. The trees equal those a loop of
+/// insert_trace calls builds. One formulation, three consumers: the
+/// scenario's sampling sinks, the planner's workload probe and statbench
+/// all fold through here (and the StreamSnapshot overload), so predicted
+/// payloads follow the same rule.
+template <typename Label>
+void fold_batch(StatPayload<Label>& payload, const app::TraceBatch& batch,
+                std::uint32_t daemon) {
+  using Samples = PathGroups::Samples;
+  const PathGroups groups(batch);
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const std::span<const FrameId> path = groups.path(g);
+    if (groups.visits(g, Samples::kFirst) > 0) {
+      payload.tree_2d.insert(
+          path, group_label<Label>(groups, g, Samples::kFirst, daemon));
+    }
+    payload.tree_3d.insert(
+        path, group_label<Label>(groups, g, Samples::kAll, daemon));
+  }
 }
 
 template <typename Label>
@@ -117,6 +152,19 @@ void insert_trace(StreamSnapshot<Label>& snapshot, const app::CallPath& path,
                   std::uint32_t daemon, std::uint32_t local_index, TaskId task,
                   std::uint32_t /*sample*/) {
   snapshot.tree.insert(path, seed_label<Label>(daemon, local_index, task));
+}
+
+/// The grouped fold of one daemon pass into a streaming snapshot: every
+/// trace of the batch, whatever its sample.
+template <typename Label>
+void fold_batch(StreamSnapshot<Label>& snapshot, const app::TraceBatch& batch,
+                std::uint32_t daemon) {
+  const PathGroups groups(batch);
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    snapshot.tree.insert(groups.path(g),
+                         group_label<Label>(groups, g,
+                                            PathGroups::Samples::kAll, daemon));
+  }
 }
 
 template <typename Label>

@@ -81,6 +81,23 @@ HierTaskSet HierTaskSet::single(std::uint32_t daemon,
   return s;
 }
 
+HierTaskSet HierTaskSet::block(std::uint32_t daemon,
+                               std::span<const std::uint32_t> bounds) {
+  check(!bounds.empty() && bounds.size() % 2 == 0,
+        "HierTaskSet::block needs (lo, hi) pairs");
+  for (std::size_t k = 0; k < bounds.size(); k += 2) {
+    check(bounds[k] <= bounds[k + 1] &&
+              (k == 0 || bounds[k] > reach(bounds[k - 1])),
+          "HierTaskSet::block intervals out of order");
+  }
+  HierTaskSet s;
+  s.words_.reserve(kHeaderWords + bounds.size());
+  s.words_.push_back(daemon);
+  s.words_.push_back(static_cast<std::uint32_t>(bounds.size() / 2));
+  s.words_.insert(s.words_.end(), bounds.begin(), bounds.end());
+  return s;
+}
+
 void HierTaskSet::splice(std::size_t at, std::size_t erase,
                          std::initializer_list<std::uint32_t> insert) {
   std::vector<std::uint32_t> out;

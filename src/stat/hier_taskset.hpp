@@ -38,6 +38,12 @@ class HierTaskSet {
   /// Singleton: local task `local_index` of `daemon`.
   static HierTaskSet single(std::uint32_t daemon, std::uint32_t local_index);
 
+  /// Block builder: one block of `daemon` whose local intervals are
+  /// `bounds`, as inclusive (lo, hi) pairs — at least one, sorted, and
+  /// neither overlapping nor abutting. Stored at exact size.
+  static HierTaskSet block(std::uint32_t daemon,
+                           std::span<const std::uint32_t> bounds);
+
   /// Merge another subtree's membership into this one. Sibling subtrees
   /// cover disjoint daemons, so this is concatenation; same-daemon blocks
   /// (re-merging within one daemon) union their local intervals. A

@@ -31,14 +31,12 @@ const char* task_set_repr_name(TaskSetRepr repr) {
 namespace {
 constexpr const char* kSharedBase = "/nfs/home/user";
 
-/// The sampling sink folding a daemon's gathered traces into its leaf: the
+/// The sampling sink folding a daemon pass's traces into its leaf: the
 /// batched StatPayload of the classic merge or a stream round's snapshot.
 template <typename Leaf>
 stackwalker::TraceSink trace_sink(Leaf& leaf, std::uint32_t daemon_id) {
-  return [leaf = &leaf, daemon_id](TaskId task, std::uint32_t local,
-                                   std::uint32_t, std::uint32_t sample,
-                                   const app::CallPath& path) {
-    insert_trace(*leaf, path, daemon_id, local, task, sample);
+  return [leaf = &leaf, daemon_id](const app::TraceBatch& batch) {
+    fold_batch(*leaf, batch, daemon_id);
   };
 }
 

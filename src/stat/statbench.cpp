@@ -36,16 +36,14 @@ StatBenchResult run_with_label(const StatBenchConfig& config,
   for (std::uint32_t d = 0; d < layout.num_daemons; ++d) {
     exec.run([&, d]() {
       const std::uint32_t first = layout.first_task_of(DaemonId(d));
-      const std::uint32_t count = layout.tasks_of(DaemonId(d));
-      for (std::uint32_t s = 0; s < config.num_samples; ++s) {
-        for (std::uint32_t i = 0; i < count; ++i) {
-          const TaskId task(first + i);
-          const app::CallPath path = app.stack(task, 0, s);
-          insert_trace(payloads[d], path, d, i, task, s);
-          generate_s[d] += to_seconds(costs.sampling.local_merge_per_node) *
-                           static_cast<double>(path.size());
-        }
+      app::TraceBatch batch;
+      batch.synthesize(app, layout.tasks_of(DaemonId(d)), 0, config.num_samples,
+                       [first](std::uint32_t i) { return TaskId(first + i); });
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        generate_s[d] += to_seconds(costs.sampling.local_merge_per_node) *
+                         static_cast<double>(batch.path(i).size());
       }
+      fold_batch(payloads[d], batch, d);
     });
   }
   exec.wait_all();

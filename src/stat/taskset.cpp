@@ -9,6 +9,33 @@ namespace petastat::stat {
 // ---------------------------------------------------------------------------
 // TaskSet
 
+namespace {
+
+/// Calls emit(iv) for each interval of the union of two sorted interval
+/// lists, in order, coalescing intervals that touch.
+template <typename Emit>
+void union_walk(const std::vector<TaskSet::Interval>& a,
+                const std::vector<TaskSet::Interval>& b, Emit&& emit) {
+  std::size_t i = 0, j = 0;
+  bool open = false;
+  TaskSet::Interval run;
+  while (i < a.size() || j < b.size()) {
+    const TaskSet::Interval next =
+        j == b.size() || (i < a.size() && a[i].lo <= b[j].lo) ? a[i++]
+                                                              : b[j++];
+    if (open && next.lo <= (run.hi == UINT32_MAX ? run.hi : run.hi + 1)) {
+      run.hi = std::max(run.hi, next.hi);
+    } else {
+      if (open) emit(run);
+      run = next;
+      open = true;
+    }
+  }
+  if (open) emit(run);
+}
+
+}  // namespace
+
 TaskSet TaskSet::single(std::uint32_t task) {
   TaskSet s;
   s.intervals_.push_back({task, task});
@@ -78,28 +105,15 @@ void TaskSet::union_with(const TaskSet& other) {
       return;
     }
   }
-  // Linear two-pointer merge of sorted interval lists into exact-size
-  // storage.
+  // Linear two-pointer merge of sorted interval lists, in two walks: size
+  // the result, then write it into exact-size storage (coalescing intervals
+  // would otherwise leave slack behind).
+  std::size_t size = 0;
+  union_walk(intervals_, other.intervals_, [&size](Interval) { ++size; });
   std::vector<Interval> result;
-  result.reserve(intervals_.size() + other.intervals_.size());
-  std::size_t i = 0, j = 0;
-  auto push = [&result](Interval iv) {
-    if (!result.empty() && iv.lo <= (result.back().hi == UINT32_MAX
-                                         ? UINT32_MAX
-                                         : result.back().hi + 1)) {
-      result.back().hi = std::max(result.back().hi, iv.hi);
-    } else {
-      result.push_back(iv);
-    }
-  };
-  while (i < intervals_.size() || j < other.intervals_.size()) {
-    if (j >= other.intervals_.size() ||
-        (i < intervals_.size() && intervals_[i].lo <= other.intervals_[j].lo)) {
-      push(intervals_[i++]);
-    } else {
-      push(other.intervals_[j++]);
-    }
-  }
+  result.reserve(size);
+  union_walk(intervals_, other.intervals_,
+             [&result](Interval iv) { result.push_back(iv); });
   intervals_ = std::move(result);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 
 #include "app/appmodel.hpp"
 
@@ -309,6 +310,47 @@ TEST(Evolution, OomCascadeFrontAdvancesUnderDrift) {
   EXPECT_NE(app.stack(neighbour, 0, onset), app.stack(neighbour, 0, 0));
   // The victim's allocation spiral deepens every sample up to the kill.
   EXPECT_NE(app.stack(TaskId(64), 0, 0), app.stack(TaskId(64), 0, 1));
+}
+
+TEST(StackInto, ReusedBufferWithStaleFramesEqualsStack) {
+  // Every model writes its whole path into the buffer, whatever it held:
+  // a daemon reuses one buffer for every trace of its pass.
+  std::vector<std::unique_ptr<AppModel>> models;
+  RingHangOptions ring;
+  ring.num_tasks = 256;
+  models.push_back(std::make_unique<RingHangApp>(ring));
+  ThreadedRingOptions threaded;
+  threaded.ring = ring;
+  threaded.threads_per_task = 4;
+  models.push_back(std::make_unique<ThreadedRingApp>(threaded));
+  IoStallOptions io;
+  io.num_tasks = 256;
+  io.aggregator_stride = 16;
+  models.push_back(std::make_unique<IoStallApp>(io));
+  ImbalanceOptions imbalance;
+  imbalance.num_tasks = 256;
+  imbalance.straggler_stride = 8;
+  models.push_back(std::make_unique<ImbalanceApp>(imbalance));
+  OomCascadeOptions oom;
+  oom.num_tasks = 256;
+  models.push_back(std::make_unique<OomCascadeApp>(oom));
+  StatBenchOptions bench;
+  bench.num_tasks = 256;
+  models.push_back(std::make_unique<StatBenchApp>(bench));
+  for (const auto& model : models) {
+    // Stale contents longer than any path, so a model that appended or
+    // overwrote only a prefix would leave frames behind.
+    CallPath buffer(64, FrameId(12345));
+    for (std::uint32_t s = 0; s < 6; ++s) {
+      for (std::uint32_t t = 0; t < model->num_tasks(); ++t) {
+        for (std::uint32_t th = 0; th < model->threads_per_task(); ++th) {
+          model->stack_into(TaskId(t), th, s, buffer);
+          ASSERT_EQ(buffer, model->stack(TaskId(t), th, s))
+              << "task " << t << " thread " << th << " sample " << s;
+        }
+      }
+    }
+  }
 }
 
 TEST(Binaries, StaticLayoutIsOneImage) {

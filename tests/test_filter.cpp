@@ -1,9 +1,15 @@
 // Tests for the STAT filter's ReduceOps: merge semantics through the TBON
-// plumbing, CPU accounting, and payload sizing.
+// plumbing, CPU accounting, and payload sizing; and for the grouped daemon
+// fold against the per-trace reference.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+
 #include "app/appmodel.hpp"
+#include "app/trace_batch.hpp"
 #include "stat/filter.hpp"
+#include "stat/scenario.hpp"
 
 namespace petastat::stat {
 namespace {
@@ -103,6 +109,224 @@ TEST_F(FilterFixture, HierOpsConcatenateDaemonBlocks) {
       [&blocks](std::uint32_t, std::span<const std::uint32_t>) { ++blocks; });
   EXPECT_EQ(blocks, 2u);
   EXPECT_EQ(start->label.tasks.count(), 2u);
+}
+
+// --- The grouped fold (fold_batch) against per-trace insert_trace ----------
+
+/// 4 daemons: three of 100 tasks (two bitmap words each) and a short one.
+machine::DaemonLayout fold_layout() {
+  return {.num_daemons = 4, .tasks_per_daemon = 100, .num_tasks = 390};
+}
+
+struct FoldModel {
+  const char* name;
+  std::function<std::unique_ptr<app::AppModel>(std::uint32_t tasks)> make;
+};
+
+std::vector<FoldModel> fold_models() {
+  return {
+      {"ring",
+       [](std::uint32_t n) {
+         app::RingHangOptions o;
+         o.num_tasks = n;
+         return std::make_unique<app::RingHangApp>(o);
+       }},
+      {"threaded_ring_x4",  // repeats a task within a sample
+       [](std::uint32_t n) {
+         app::ThreadedRingOptions o;
+         o.ring.num_tasks = n;
+         o.threads_per_task = 4;
+         return std::make_unique<app::ThreadedRingApp>(o);
+       }},
+      {"io_stall",
+       [](std::uint32_t n) {
+         app::IoStallOptions o;
+         o.num_tasks = n;
+         o.aggregator_stride = 16;
+         return std::make_unique<app::IoStallApp>(o);
+       }},
+      {"imbalance",
+       [](std::uint32_t n) {
+         app::ImbalanceOptions o;
+         o.num_tasks = n;
+         o.straggler_stride = 8;
+         return std::make_unique<app::ImbalanceApp>(o);
+       }},
+      {"oom_cascade",
+       [](std::uint32_t n) {
+         app::OomCascadeOptions o;
+         o.num_tasks = n;
+         o.kill_sample = 3;
+         return std::make_unique<app::OomCascadeApp>(o);
+       }},
+      {"statbench_300_classes",  // enough groups to rehash and probe
+       [](std::uint32_t n) {
+         app::StatBenchOptions o;
+         o.num_tasks = n;
+         o.num_classes = 300;
+         return std::make_unique<app::StatBenchApp>(o);
+       }},
+  };
+}
+
+/// Daemon-local index -> global rank, as the walker's resolver.
+using Resolver = std::function<TaskId(std::uint32_t daemon, std::uint32_t)>;
+
+std::vector<std::pair<const char*, Resolver>> fold_resolvers(
+    const machine::DaemonLayout& layout) {
+  auto identity = std::make_shared<TaskMap>(TaskMap::identity(layout));
+  auto shuffled = std::make_shared<TaskMap>(TaskMap::shuffled(layout, 11));
+  return {
+      {"identity",
+       [identity](std::uint32_t d, std::uint32_t t) {
+         return TaskId(identity->global_rank(d, t));
+       }},
+      {"shuffled",
+       [shuffled](std::uint32_t d, std::uint32_t t) {
+         return TaskId(shuffled->global_rank(d, t));
+       }},
+      {"reversed",  // not monotone in the local index
+       [layout](std::uint32_t d, std::uint32_t t) {
+         return TaskId(layout.first_task_of(DaemonId(d)) +
+                       layout.tasks_of(DaemonId(d)) - 1 - t);
+       }},
+  };
+}
+
+/// The reference: one insert_trace per trace, walked in the same order
+/// straight from the value form of AppModel::stack.
+template <typename Leaf>
+Leaf fold_per_trace(const app::AppModel& app, const Resolver& resolve,
+                    std::uint32_t daemon, std::uint32_t locals,
+                    std::uint32_t first_sample, std::uint32_t num_samples) {
+  Leaf leaf;
+  for (std::uint32_t s = first_sample; s < first_sample + num_samples; ++s) {
+    for (std::uint32_t t = 0; t < locals; ++t) {
+      const TaskId task = resolve(daemon, t);
+      for (std::uint32_t th = 0; th < app.threads_per_task(); ++th) {
+        insert_trace(leaf, app.stack(task, th, s), daemon, t, task, s);
+      }
+    }
+  }
+  return leaf;
+}
+
+template <typename Leaf>
+Leaf fold_grouped(const app::AppModel& app, const Resolver& resolve,
+                  std::uint32_t daemon, std::uint32_t locals,
+                  std::uint32_t first_sample, std::uint32_t num_samples) {
+  app::TraceBatch batch;
+  batch.synthesize(app, locals, first_sample, num_samples,
+                   [&](std::uint32_t t) { return resolve(daemon, t); });
+  Leaf leaf;
+  fold_batch(leaf, batch, daemon);
+  return leaf;
+}
+
+template <typename Label>
+void expect_grouped_fold_matches(const app::AppModel& app,
+                                 const machine::DaemonLayout& layout,
+                                 const Resolver& resolve) {
+  const LabelContext ctx{layout.num_tasks};
+  const app::FrameTable& frames = app.frames();
+  StatPayload<Label> all_reference, all_grouped;
+  for (std::uint32_t d = 0; d < layout.num_daemons; ++d) {
+    SCOPED_TRACE("daemon " + std::to_string(d));
+    const std::uint32_t locals = layout.tasks_of(DaemonId(d));
+    // Classic: 10 samples into the 2D and 3D trees.
+    const auto reference = fold_per_trace<StatPayload<Label>>(
+        app, resolve, d, locals, 0, 10);
+    const auto grouped =
+        fold_grouped<StatPayload<Label>>(app, resolve, d, locals, 0, 10);
+    EXPECT_TRUE(grouped.tree_2d == reference.tree_2d);
+    EXPECT_TRUE(grouped.tree_3d == reference.tree_3d);
+    EXPECT_EQ(payload_wire_bytes(grouped, frames, ctx),
+              payload_wire_bytes(reference, frames, ctx));
+    all_reference.merge(reference);
+    all_grouped.merge(grouped);
+    // Streaming: one sample per snapshot, sample 0 and a later one.
+    for (const std::uint32_t sample : {0u, 7u}) {
+      SCOPED_TRACE("snapshot of sample " + std::to_string(sample));
+      const auto snap_reference = fold_per_trace<StreamSnapshot<Label>>(
+          app, resolve, d, locals, sample, 1);
+      const auto snap_grouped = fold_grouped<StreamSnapshot<Label>>(
+          app, resolve, d, locals, sample, 1);
+      EXPECT_TRUE(snap_grouped == snap_reference);
+      EXPECT_EQ(snapshot_wire_bytes(snap_grouped, frames, ctx),
+                snapshot_wire_bytes(snap_reference, frames, ctx));
+    }
+  }
+  EXPECT_TRUE(all_grouped.tree_2d == all_reference.tree_2d);
+  EXPECT_TRUE(all_grouped.tree_3d == all_reference.tree_3d);
+}
+
+TEST(GroupedFold, MatchesPerTraceInsertForEveryModelLabelAndResolver) {
+  const machine::DaemonLayout layout = fold_layout();
+  for (const FoldModel& model : fold_models()) {
+    const auto app = model.make(layout.num_tasks);
+    for (const auto& [resolver_name, resolve] : fold_resolvers(layout)) {
+      SCOPED_TRACE(std::string(model.name) + " / " + resolver_name);
+      expect_grouped_fold_matches<GlobalLabel>(*app, layout, resolve);
+      expect_grouped_fold_matches<HierLabel>(*app, layout, resolve);
+    }
+  }
+}
+
+TEST(GroupedFold, GroupsEveryDistinctPathOnceInFirstAppearanceOrder) {
+  // 1,000 distinct one-frame paths, each walked by locals g and g + 1000 in
+  // sample 0 and by local g again in sample 1: the table rehashes many
+  // times and probes past occupied slots.
+  app::TraceBatch batch;
+  for (std::uint32_t sample = 0; sample < 2; ++sample) {
+    for (std::uint32_t local = 0; local < 2000; ++local) {
+      if (sample == 1 && local >= 1000) break;
+      const FrameId frame(local % 1000);
+      batch.append(TaskId(local), local, sample, std::span(&frame, 1));
+    }
+  }
+  const PathGroups groups(batch);
+  ASSERT_EQ(groups.size(), 1000u);
+  for (std::uint32_t g = 0; g < 1000; ++g) {
+    ASSERT_EQ(groups.path(g).size(), 1u);
+    EXPECT_EQ(groups.path(g)[0], FrameId(g));
+    EXPECT_EQ(groups.visits(g, PathGroups::Samples::kFirst), 2u);
+    EXPECT_EQ(groups.visits(g, PathGroups::Samples::kAll), 3u);
+    const HierLabel label = groups.hier_label(g, PathGroups::Samples::kAll, 5);
+    const std::vector<std::uint32_t> bounds{g, g, g + 1000, g + 1000};
+    EXPECT_EQ(label.tasks, HierTaskSet::block(5, bounds));
+  }
+}
+
+TEST(GroupedFold, WorkerSideFoldMatchesSerialScenario) {
+  // The scenario's sampling sink folds on executor workers: 4 threads must
+  // reproduce the serial run bit for bit (the TSan job runs this too).
+  for (const TaskSetRepr repr :
+       {TaskSetRepr::kDenseGlobal, TaskSetRepr::kHierarchical}) {
+    const auto run = [repr](std::uint32_t threads) {
+      StatOptions options;
+      options.topology = tbon::TopologySpec::bgl(2);
+      options.repr = repr;
+      options.launcher = LauncherKind::kCiodPatched;
+      options.app = AppKind::kThreadedRing;
+      options.exec_threads = threads;
+      machine::JobConfig job{.num_tasks = 4096,
+                             .mode = machine::BglMode::kVirtualNode,
+                             .threads_per_task = 4};
+      return StatScenario(machine::bgl(), job, options).run();
+    };
+    const StatRunResult serial = run(1);
+    const StatRunResult parallel = run(4);
+    ASSERT_TRUE(serial.status.is_ok()) << serial.status.to_string();
+    ASSERT_TRUE(parallel.status.is_ok()) << parallel.status.to_string();
+    EXPECT_GT(serial.tree_3d.node_count(), 10u);  // ring and worker paths
+    EXPECT_TRUE(serial.tree_2d == parallel.tree_2d);
+    EXPECT_TRUE(serial.tree_3d == parallel.tree_3d);
+    EXPECT_EQ(serial.phases.sample_time, parallel.phases.sample_time);
+    EXPECT_EQ(serial.phases.merge_time, parallel.phases.merge_time);
+    EXPECT_EQ(serial.phases.merge_bytes, parallel.phases.merge_bytes);
+    EXPECT_EQ(serial.phases.leaf_payload_bytes,
+              parallel.phases.leaf_payload_bytes);
+  }
 }
 
 }  // namespace

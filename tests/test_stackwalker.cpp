@@ -2,6 +2,7 @@
 // contention, the task resolver, and per-daemon caching.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 
 #include "fs/filesystem.hpp"
@@ -56,16 +57,24 @@ TEST(StackWalker, SinkReceivesEveryTrace) {
   WalkerFixture f(64);  // 8 daemons x 8 tasks
   auto walker = f.make_walker();
   std::uint32_t traces = 0;
+  std::uint32_t batches = 0;
   std::optional<SampleReport> report;
   walker.sample_daemon(DaemonId(0), 10,
-                       [&](TaskId, std::uint32_t, std::uint32_t, std::uint32_t,
-                           const app::CallPath& path) {
-                         ++traces;
-                         EXPECT_FALSE(path.empty());
+                       [&](const app::TraceBatch& batch) {
+                         ++batches;
+                         traces += static_cast<std::uint32_t>(batch.size());
+                         for (std::size_t i = 0; i < batch.size(); ++i) {
+                           const auto& trace = batch.trace(i);
+                           EXPECT_FALSE(batch.path(i).empty());
+                           EXPECT_TRUE(std::ranges::equal(
+                               batch.path(i),
+                               f.app.stack(trace.task, 0, trace.sample)));
+                         }
                        },
                        [&](const SampleReport& r) { report = r; });
   f.sim.run();
   ASSERT_TRUE(report.has_value());
+  EXPECT_EQ(batches, 1u);  // one batch per daemon pass
   EXPECT_EQ(traces, 80u);  // 8 tasks x 10 samples
   EXPECT_EQ(report->traces, 80u);
   EXPECT_EQ(report->finished_at,
@@ -76,8 +85,7 @@ TEST(StackWalker, SinkReceivesEveryTrace) {
 TEST(StackWalker, SymbolIoChargedOnceAcrossPasses) {
   WalkerFixture f(64);
   auto walker = f.make_walker();
-  const auto noop_sink = [](TaskId, std::uint32_t, std::uint32_t, std::uint32_t,
-                            const app::CallPath&) {};
+  const auto noop_sink = [](const app::TraceBatch&) {};
   std::optional<SampleReport> first, second;
   walker.sample_daemon(DaemonId(0), 10, noop_sink,
                        [&](const SampleReport& r) { first = r; });
@@ -94,8 +102,7 @@ TEST(StackWalker, SymbolIoChargedOnceAcrossPasses) {
 TEST(StackWalker, ResetForcesReparsing) {
   WalkerFixture f(64);
   auto walker = f.make_walker();
-  const auto noop_sink = [](TaskId, std::uint32_t, std::uint32_t, std::uint32_t,
-                            const app::CallPath&) {};
+  const auto noop_sink = [](const app::TraceBatch&) {};
   walker.sample_daemon(DaemonId(0), 1, noop_sink, [](const SampleReport&) {});
   f.sim.run();
   walker.reset();
@@ -129,8 +136,7 @@ TEST(StackWalker, ContentionInflatesSharedCpuMachines) {
       StackWalker(dedicated.sim, dedicated.machine, dedicated.costs.sampling,
                   dedicated.files, dedicated.app, dedicated.layout, 1);
 
-  const auto noop_sink = [](TaskId, std::uint32_t, std::uint32_t, std::uint32_t,
-                            const app::CallPath&) {};
+  const auto noop_sink = [](const app::TraceBatch&) {};
   std::optional<SampleReport> rs, rd;
   walker_shared.sample_daemon(DaemonId(0), 10, noop_sink,
                               [&](const SampleReport& r) { rs = r; });
@@ -150,10 +156,16 @@ TEST(StackWalker, ResolverControlsWhichTasksAreWalked) {
   });
   std::vector<std::uint32_t> walked;
   walker.sample_daemon(DaemonId(0), 1,
-                       [&](TaskId task, std::uint32_t local, std::uint32_t,
-                           std::uint32_t, const app::CallPath&) {
-                         walked.push_back(task.value());
-                         EXPECT_EQ(task.value(), 63 - local);
+                       [&](const app::TraceBatch& batch) {
+                         for (std::size_t i = 0; i < batch.size(); ++i) {
+                           const auto& trace = batch.trace(i);
+                           walked.push_back(trace.task.value());
+                           EXPECT_EQ(trace.task.value(),
+                                     63 - trace.local_index);
+                           EXPECT_TRUE(std::ranges::equal(
+                               batch.path(i),
+                               f.app.stack(trace.task, 0, trace.sample)));
+                         }
                        },
                        [](const SampleReport&) {});
   f.sim.run();
@@ -171,10 +183,22 @@ TEST(StackWalker, ThreadsMultiplyTraces) {
                      f.layout, 1);
   std::uint32_t traces = 0;
   std::optional<SampleReport> report;
-  walker.sample_daemon(DaemonId(2), 5,
-                       [&](TaskId, std::uint32_t, std::uint32_t, std::uint32_t,
-                           const app::CallPath&) { ++traces; },
-                       [&](const SampleReport& r) { report = r; });
+  walker.sample_daemon(
+      DaemonId(2), 5,
+      [&](const app::TraceBatch& batch) {
+        traces += static_cast<std::uint32_t>(batch.size());
+        // Walk order: sample-major, then local index, then thread.
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+          const auto& trace = batch.trace(i);
+          const auto thread = static_cast<std::uint32_t>(i % 4);
+          EXPECT_EQ(trace.sample, i / (8 * 4));
+          EXPECT_EQ(trace.local_index, (i / 4) % 8);
+          EXPECT_EQ(trace.task.value(), 16 + trace.local_index);
+          EXPECT_TRUE(std::ranges::equal(
+              batch.path(i), app.stack(trace.task, thread, trace.sample)));
+        }
+      },
+      [&](const SampleReport& r) { report = r; });
   f.sim.run();
   EXPECT_EQ(traces, 8u * 5u * 4u);
   EXPECT_EQ(report->traces, traces);
@@ -184,9 +208,7 @@ TEST(StackWalker, OutOfRangeDaemonThrows) {
   WalkerFixture f(64);
   auto walker = f.make_walker();
   EXPECT_THROW(walker.sample_daemon(
-                   DaemonId(99), 1,
-                   [](TaskId, std::uint32_t, std::uint32_t, std::uint32_t,
-                      const app::CallPath&) {},
+                   DaemonId(99), 1, [](const app::TraceBatch&) {},
                    [](const SampleReport&) {}),
                std::logic_error);
 }

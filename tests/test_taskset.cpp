@@ -54,6 +54,28 @@ TEST(TaskSet, UnionWith) {
   EXPECT_EQ(a.interval_count(), 1u);
 }
 
+TEST(TaskSet, CoalescingUnionAllocatesExactly) {
+  // Two multi-interval sets whose union bridges every gap: the general
+  // merge must not keep the slack of the intervals that coalesced.
+  TaskSet a, b;
+  for (std::uint32_t k = 0; k < 16; ++k) {
+    a.insert_range(20 * k, 20 * k + 9);
+    b.insert_range(20 * k + 10, 20 * k + 19);
+  }
+  a.union_with(b);
+  ASSERT_EQ(a.interval_count(), 1u);
+  EXPECT_EQ(a.count(), 320u);
+  EXPECT_EQ(a.intervals().capacity(), a.intervals().size());
+  // A partly coalescing union too.
+  TaskSet c = TaskSet::range(0, 9);
+  c.union_with(TaskSet::range(30, 39));
+  TaskSet d = TaskSet::range(10, 19);
+  d.union_with(TaskSet::range(50, 59));
+  c.union_with(d);
+  EXPECT_EQ(c.interval_count(), 3u);
+  EXPECT_EQ(c.intervals().capacity(), c.intervals().size());
+}
+
 TEST(TaskSet, DifferenceAndIntersects) {
   TaskSet a = TaskSet::range(0, 99);
   TaskSet b = TaskSet::range(40, 59);
