@@ -6,23 +6,19 @@ namespace petastat {
 
 ThreadPool::ThreadPool(unsigned threads) {
   const unsigned n = threads == 0 ? 1 : threads;
-  slots_.reserve(n);
-  for (unsigned i = 0; i < n; ++i) {
-    slots_.push_back(std::make_unique<WorkerSlot>());
-  }
   workers_.reserve(n);
   for (unsigned i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i]() { worker_loop(i); });
+    workers_.emplace_back([this]() { worker_loop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
-  stopping_.store(true, std::memory_order_seq_cst);
-  for (auto& slot : slots_) wake(*slot);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stopping_ = true;
+  }
+  work_cv_.notify_all();
   for (auto& worker : workers_) worker.join();
-  // Release the completion queue's keepalive references.
-  std::lock_guard<std::mutex> lock(completion_mutex_);
-  drain_completions_locked();
 }
 
 ThreadPool::TaskRef ThreadPool::package(std::function<void()> work) {
@@ -37,175 +33,55 @@ void ThreadPool::post(TaskRef task) {
   post_job([this, task = std::move(task)]() { execute(task); });
 }
 
-void ThreadPool::push_inbox(WorkerSlot& slot, JobNode* node) {
-  // Pointer-width CAS push onto the inbox stack. seq_cst on success pairs
-  // with the parking worker's seq_cst sleeping-store/inbox-load (Dekker):
-  // either the worker's final inbox check sees this node, or this thread's
-  // sleeping check below sees the worker parked and wakes it.
-  node->next = slot.inbox.load(std::memory_order_relaxed);
-  while (!slot.inbox.compare_exchange_weak(node->next, node,
-                                           std::memory_order_seq_cst,
-                                           std::memory_order_relaxed)) {
-  }
-}
-
-ThreadPool::JobNode* ThreadPool::drain_inbox(WorkerSlot& slot) {
-  // Exchange-only consumption: the whole stack comes off in one swap, so a
-  // node's address can never be re-CASed under a reader (no ABA), and no
-  // tagged pointer or DWCAS is needed. Reverse to restore submission order.
-  JobNode* head = slot.inbox.exchange(nullptr, std::memory_order_acquire);
-  JobNode* fifo = nullptr;
-  while (head != nullptr) {
-    JobNode* next = head->next;
-    head->next = fifo;
-    fifo = head;
-    head = next;
-  }
-  return fifo;
-}
-
-void ThreadPool::wake(WorkerSlot& slot) {
-  // Lock/unlock pairs with the worker's predicate re-check so the notify
-  // cannot slip between its check and its wait.
-  { std::lock_guard<std::mutex> lock(slot.park_mutex); }
-  slot.park_cv.notify_one();
-}
-
 void ThreadPool::post_job(std::function<void()> job) {
-  check(!stopping_.load(std::memory_order_relaxed),
-        "ThreadPool::post_job after shutdown");
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
-  auto* node = new JobNode{std::move(job), nullptr};
-  WorkerSlot& target =
-      *slots_[next_slot_.fetch_add(1, std::memory_order_relaxed) %
-              slots_.size()];
-  push_inbox(target, node);
-  if (target.sleeping.load(std::memory_order_seq_cst)) {
-    wake(target);
-    return;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    check(!stopping_, "ThreadPool::post_job after shutdown");
+    jobs_.push_back(std::move(job));
+    ++in_flight_;
   }
-  // The target is busy; hand the latency win to any parked worker, whose
-  // park predicate spans all inboxes, so it wakes and steals this one.
-  // Missing a concurrently-parking worker here is benign: its final
-  // work_visible() scan happens after it publishes its sleeping flag, so it
-  // sees this push instead of sleeping (the Dekker pair in worker_loop).
-  for (auto& slot : slots_) {
-    if (slot.get() != &target &&
-        slot->sleeping.load(std::memory_order_relaxed)) {
-      wake(*slot);
-      break;
-    }
-  }
+  work_cv_.notify_one();
 }
 
-void ThreadPool::worker_loop(unsigned index) {
-  WorkerSlot& self = *slots_[index];
-  const std::size_t n = slots_.size();
-  JobNode* batch = nullptr;  // FIFO run list, worker-private
+void ThreadPool::worker_loop() {
+  std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
-    if (batch != nullptr) {
-      JobNode* node = batch;
-      batch = node->next;
-      node->fn();
-      delete node;
-      in_flight_.fetch_sub(1, std::memory_order_release);
-      { std::lock_guard<std::mutex> lock(completion_mutex_); }
-      completion_cv_.notify_all();
-      continue;
-    }
-    batch = drain_inbox(self);
-    if (batch != nullptr) continue;
-    // Steal a whole inbox from a busy sibling before parking.
-    for (std::size_t offset = 1; offset < n && batch == nullptr; ++offset) {
-      batch = drain_inbox(*slots_[(index + offset) % n]);
-    }
-    if (batch != nullptr) continue;
-    if (stopping_.load(std::memory_order_seq_cst)) {
-      // One more sweep now that the stop is observed: a job posted just
-      // before the destructor's stopping store may have landed after the
-      // scans above. The store synchronizes with the load, so that push is
-      // visible to this re-scan — every job posted before shutdown runs.
-      for (std::size_t offset = 0; offset < n && batch == nullptr; ++offset) {
-        batch = drain_inbox(*slots_[(index + offset) % n]);
-      }
-      if (batch != nullptr) continue;
-      return;
-    }
-    // Park. The predicate covers EVERY inbox, not just this worker's: a
-    // producer whose round-robin target is busy wakes one parked worker to
-    // steal, and the seq_cst sleeping-store / inbox-load pair below closes
-    // the Dekker race against that producer's push / sleeping-load pair —
-    // either the producer sees this worker parked (and wakes it), or this
-    // worker's final scan sees the pushed node (and never sleeps).
-    std::unique_lock<std::mutex> lock(self.park_mutex);
-    self.sleeping.store(true, std::memory_order_seq_cst);
-    if (!work_visible()) {
-      self.park_cv.wait(lock, [&]() { return work_visible(); });
-    }
-    self.sleeping.store(false, std::memory_order_relaxed);
+    work_cv_.wait(lock, [this]() { return stopping_ || !jobs_.empty(); });
+    // A stopping pool still drains its queue: every job posted before
+    // shutdown runs.
+    if (jobs_.empty()) return;
+    std::function<void()> job = std::move(jobs_.front());
+    jobs_.pop_front();
+    lock.unlock();
+    job();
+    job = nullptr;  // release captures outside the lock
+    lock.lock();
+    if (--in_flight_ == 0) done_cv_.notify_all();
   }
-}
-
-bool ThreadPool::work_visible() const {
-  for (const auto& slot : slots_) {
-    if (slot->inbox.load(std::memory_order_seq_cst) != nullptr) return true;
-  }
-  return stopping_.load(std::memory_order_seq_cst);
 }
 
 void ThreadPool::execute(const TaskRef& task) {
   task->work_();
   task->work_ = nullptr;  // release captures eagerly
-  // Publish on the MPSC completion stack. The self-reference keeps the task
-  // alive while queued even if the submitter drops its ref; the node is
-  // pushed with a single CAS (multi-producer), and only drained by one
-  // consumer at a time under completion_mutex_.
-  Task* node = task.get();
-  node->self_ = task;
-  node->next_ = completion_head_.load(std::memory_order_relaxed);
-  while (!completion_head_.compare_exchange_weak(node->next_, node,
-                                                 std::memory_order_release,
-                                                 std::memory_order_relaxed)) {
+  {
+    // Setting the flag under the lock keeps the notify from slipping
+    // between a waiter's predicate check and its wait.
+    std::lock_guard<std::mutex> lock(mutex_);
+    task->done_.store(true, std::memory_order_release);
+    ++completed_;
   }
-  node->done_.store(true, std::memory_order_release);
-  // Lock/unlock pairs the done-flag write with waiters' predicate checks so
-  // a notification cannot slip between a check and the wait.
-  { std::lock_guard<std::mutex> lock(completion_mutex_); }
-  completion_cv_.notify_all();
-}
-
-void ThreadPool::drain_completions_locked() {
-  Task* head = completion_head_.exchange(nullptr, std::memory_order_acquire);
-  while (head != nullptr) {
-    Task* next = head->next_;
-    head->next_ = nullptr;
-    ++drained_;
-    head->self_.reset();  // may destroy *head; `next` was saved first
-    head = next;
-  }
+  done_cv_.notify_all();
 }
 
 void ThreadPool::wait(const TaskRef& task) {
-  if (task == nullptr || task->done()) {
-    // Fast path: still drain opportunistically so finished tasks (and their
-    // keepalive refs) don't pile up when workers outpace the waiter.
-    if (std::unique_lock<std::mutex> lock(completion_mutex_, std::try_to_lock);
-        lock.owns_lock()) {
-      drain_completions_locked();
-    }
-    return;
-  }
-  std::unique_lock<std::mutex> lock(completion_mutex_);
-  completion_cv_.wait(lock, [&]() { return task->done(); });
-  drain_completions_locked();
+  if (task == nullptr || task->done()) return;
+  std::unique_lock<std::mutex> lock(mutex_);
+  done_cv_.wait(lock, [&task]() { return task->done(); });
 }
 
 void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(completion_mutex_);
-  completion_cv_.wait(lock, [&]() {
-    return in_flight_.load(std::memory_order_acquire) == 0;
-  });
-  drain_completions_locked();
+  std::unique_lock<std::mutex> lock(mutex_);
+  done_cv_.wait(lock, [this]() { return in_flight_ == 0; });
 }
 
 }  // namespace petastat

@@ -1,30 +1,23 @@
-// Fixed-size worker pool with a lock-free submission path and an MPSC
-// completion queue.
+// Fixed-size worker pool: one mutex-guarded FIFO of jobs, one condition
+// variable for idle workers and one for waiters.
 //
 // This is the execution substrate of the parallel engine: the simulator
 // thread submits real computations (tree merges, trace synthesis) as Tasks,
-// workers execute them, and completions flow back over a lock-free
-// multi-producer/single-consumer stack (in the spirit of the constant-time
-// LL/SC hand-off constructions: producers only ever CAS-push one node; the
-// consumer swaps the whole list out). Submission uses the same pointer-width
-// CAS construction in the other direction: each worker owns an intrusive
-// lock-free inbox that producers CAS-push onto round-robin and that its
-// worker (or an idle thief) drains wholesale with a single exchange —
-// exchange-only consumption means no ABA window and no tagged pointers. The
-// submission fast path takes no mutex; a parked worker is woken through its
-// park mutex with the standard Dekker-style sleeping-flag handshake.
+// workers execute them, and the simulator waits for each at its modelled
+// completion event. A run posts a few tens of thousands of jobs from one
+// thread, so a single lock is nowhere near contended.
 //
-// Ordering: jobs drained from one inbox batch run in submission order, but
-// there is no global FIFO across inboxes (stealing reorders freely). Nothing
-// in the engine depends on submission order — determinism is the
-// sim::Executor's contract, built on top of the one guarantee made here:
-// after wait(task) returns, the task's side effects are visible to the
-// caller.
+// Ordering: workers take jobs in submission order, but several workers run
+// concurrently, so completions may come back in any order. Nothing in the
+// engine depends on completion order — determinism is the sim::Executor's
+// contract, built on top of the one guarantee made here: after wait(task)
+// returns, the task's side effects are visible to the caller.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -35,9 +28,8 @@ namespace petastat {
 
 class ThreadPool {
  public:
-  /// One unit of work plus its completion state. Tasks are shared between
-  /// the submitter (who waits on it) and the worker (who runs it); the
-  /// completion queue holds a third reference until the consumer drains it.
+  /// One unit of work plus its completion flag, shared between the
+  /// submitter (who waits on it) and the worker (who runs it).
   class Task {
    public:
     [[nodiscard]] bool done() const {
@@ -48,8 +40,6 @@ class ThreadPool {
     friend class ThreadPool;
     std::function<void()> work_;
     std::atomic<bool> done_{false};
-    Task* next_ = nullptr;        // intrusive link in the completion stack
-    std::shared_ptr<Task> self_;  // keepalive while queued for the consumer
   };
   using TaskRef = std::shared_ptr<Task>;
 
@@ -57,6 +47,7 @@ class ThreadPool {
   explicit ThreadPool(unsigned threads);
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
+  /// Runs every job already posted, then joins the workers.
   ~ThreadPool();
 
   /// Wraps `work` in a Task without scheduling it. The task can be run by
@@ -70,8 +61,7 @@ class ThreadPool {
   /// Enqueues a raw job with no completion tracking (strand pumps).
   void post_job(std::function<void()> job);
 
-  /// Runs `task` on the calling thread: executes the work, marks the task
-  /// done, and publishes it on the completion queue.
+  /// Runs `task` on the calling thread, marks it done and wakes waiters.
   void execute(const TaskRef& task);
 
   /// Blocks until `task` is done. A null ref counts as already done.
@@ -83,52 +73,22 @@ class ThreadPool {
   [[nodiscard]] unsigned thread_count() const {
     return static_cast<unsigned>(workers_.size());
   }
-  /// Tasks whose completions have been drained from the MPSC queue.
-  [[nodiscard]] std::uint64_t completed() const { return drained_; }
+  /// Tasks executed so far (raw post_job jobs are not counted).
+  [[nodiscard]] std::uint64_t completed() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return completed_;
+  }
 
  private:
-  /// Intrusive node in a worker's lock-free inbox (LIFO while queued; the
-  /// drainer reverses the batch back into submission order).
-  struct JobNode {
-    std::function<void()> fn;
-    JobNode* next = nullptr;
-  };
+  void worker_loop();
 
-  /// Per-worker submission state. The inbox is the lock-free part; the
-  /// mutex/cv pair only parks and wakes this one worker.
-  struct WorkerSlot {
-    std::atomic<JobNode*> inbox{nullptr};
-    std::atomic<bool> sleeping{false};
-    std::mutex park_mutex;
-    std::condition_variable park_cv;
-  };
-
-  void worker_loop(unsigned index);
-  /// True when any inbox holds work or the pool is stopping — the park
-  /// predicate (a parked worker may be woken to steal another's inbox).
-  [[nodiscard]] bool work_visible() const;
-  static void push_inbox(WorkerSlot& slot, JobNode* node);
-  /// Drains the whole inbox with one exchange and reverses it to FIFO.
-  [[nodiscard]] static JobNode* drain_inbox(WorkerSlot& slot);
-  void wake(WorkerSlot& slot);
-  /// Consumer side of the completion queue; requires completion_mutex_.
-  void drain_completions_locked();
-
-  // Submission side: one lock-free inbox per worker, producers round-robin.
-  std::vector<std::unique_ptr<WorkerSlot>> slots_;
-  std::atomic<std::uint64_t> next_slot_{0};
-  std::atomic<bool> stopping_{false};
-
-  // Completion side: workers CAS-push finished tasks; waiters swap the list
-  // out under completion_mutex_ (single consumer at a time) and release the
-  // queue's keepalive references.
-  std::atomic<Task*> completion_head_{nullptr};
-  std::mutex completion_mutex_;
-  std::condition_variable completion_cv_;
-  std::uint64_t drained_ = 0;
-
-  std::atomic<std::uint64_t> in_flight_{0};
-
+  mutable std::mutex mutex_;
+  std::condition_variable work_cv_;  // workers wait for a job or the stop
+  std::condition_variable done_cv_;  // waiters wait for a task or idleness
+  std::deque<std::function<void()>> jobs_;
+  std::uint64_t in_flight_ = 0;  // posted jobs not yet finished
+  std::uint64_t completed_ = 0;
+  bool stopping_ = false;
   std::vector<std::thread> workers_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -14,7 +15,8 @@ namespace {
 // --- Minimal JSON ----------------------------------------------------------
 // A recursive-descent parser for the subset a trace needs: objects, arrays,
 // strings (no \u escapes), numbers, booleans, null. Object keys keep file
-// order, so error messages and flag expansion are stable.
+// order, so error messages and flag expansion are stable. Nesting is capped
+// at kMaxDepth, so a hostile input cannot overflow the stack.
 
 struct JsonValue {
   enum class Kind { kNull, kBool, kNumber, kString, kObject, kArray };
@@ -28,6 +30,9 @@ struct JsonValue {
 
 class JsonParser {
  public:
+  /// A trace nests three levels deep; anything past this is rejected.
+  static constexpr std::size_t kMaxDepth = 64;
+
   explicit JsonParser(std::string_view text) : text_(text) {}
 
   Result<JsonValue> parse() {
@@ -67,8 +72,15 @@ class JsonParser {
     skip_ws();
     if (pos_ >= text_.size()) return fail("unexpected end of input");
     const char c = text_[pos_];
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxDepth) {
+        return fail("nesting deeper than " + std::to_string(kMaxDepth));
+      }
+      ++depth_;
+      auto value = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return value;
+    }
     if (c == '"') return parse_string_value();
     if (c == 't' || c == 'f') return parse_bool();
     if (c == 'n') return parse_null();
@@ -186,15 +198,17 @@ class JsonParser {
     try {
       JsonValue value;
       value.kind = JsonValue::Kind::kNumber;
-      value.number = std::stod(token);
-      return value;
+      std::size_t used = 0;
+      value.number = std::stod(token, &used);
+      if (used == token.size()) return value;
     } catch (const std::exception&) {
-      return fail("malformed number '" + token + "'");
     }
+    return fail("malformed number '" + token + "'");
   }
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // objects and arrays open around pos_
 };
 
 // --- Trace semantics -------------------------------------------------------
@@ -208,6 +222,21 @@ std::string number_to_flag_value(double number) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%g", number);
   return buf;
+}
+
+/// Reads a service-level count: an integer in 1..max of `Int`, so the cast
+/// is exact (2^digits is a double exactly, and every integer below it fits).
+template <typename Int>
+Result<Int> parse_positive_integer(const JsonValue& value,
+                                   const std::string& key) {
+  if (value.kind != JsonValue::Kind::kNumber || value.number < 1.0 ||
+      value.number != std::floor(value.number) ||
+      value.number >= std::ldexp(1.0, std::numeric_limits<Int>::digits)) {
+    return invalid_argument("trace JSON: " + key +
+                            " must be an integer in 1.." +
+                            std::to_string(std::numeric_limits<Int>::max()));
+  }
+  return static_cast<Int>(value.number);
 }
 
 bool is_reserved_session_key(const std::string& key) {
@@ -340,19 +369,13 @@ Result<ServiceTrace> parse_service_trace(std::string_view text) {
       }
       trace.config.executor_threads = static_cast<std::uint32_t>(value.number);
     } else if (key == "comm_slot_capacity") {
-      if (value.kind != JsonValue::Kind::kNumber || value.number < 1.0) {
-        return invalid_argument(
-            "trace JSON: comm_slot_capacity must be a number >= 1");
-      }
-      trace.config.comm_slot_capacity =
-          static_cast<std::uint64_t>(value.number);
+      auto capacity = parse_positive_integer<std::uint64_t>(value, key);
+      if (!capacity.is_ok()) return capacity.status();
+      trace.config.comm_slot_capacity = capacity.value();
     } else if (key == "fe_connection_capacity") {
-      if (value.kind != JsonValue::Kind::kNumber || value.number < 1.0) {
-        return invalid_argument(
-            "trace JSON: fe_connection_capacity must be a number >= 1");
-      }
-      trace.config.fe_connection_capacity =
-          static_cast<std::uint32_t>(value.number);
+      auto capacity = parse_positive_integer<std::uint32_t>(value, key);
+      if (!capacity.is_ok()) return capacity.status();
+      trace.config.fe_connection_capacity = capacity.value();
     } else if (key == "sessions") {
       if (value.kind != JsonValue::Kind::kArray) {
         return invalid_argument("trace JSON: sessions must be an array");

@@ -8,7 +8,6 @@
 #include "tbon/health.hpp"
 #include "tbon/multicast.hpp"
 #include "tbon/reduction.hpp"
-#include "tbon/trigger.hpp"
 
 namespace petastat::stat {
 
@@ -614,7 +613,7 @@ namespace {
 
 /// The mid-merge failure drill shared by the classic merge and the stream:
 /// the armed kill (`--fail-at`), the health monitor's ping sweep, and the
-/// trigger that runs the engine's in-round recovery. The kill lands in the
+/// callback that runs the engine's in-round recovery. The kill lands in the
 /// first round that begins at or past its time (a stream round begins with
 /// its gather), dying as that round's merge starts, so a stream and its
 /// cache-free twin lose the victim in the same round; in a round with no
@@ -633,7 +632,18 @@ class FailureDrill {
       : sim_(sim),
         engine_(engine),
         phases_(phases),
-        monitor_(sim, network, topology, triggers_,
+        monitor_(sim, network, topology,
+                 [this](const tbon::FailureEvent& event) {
+                   phases_.failure_detect_latency =
+                       event.detected_at - event.dead_at;
+                   detected_at_ = event.detected_at;
+                   const tbon::RecoveryReport report =
+                       engine_.recover(event.proc);
+                   if (report.acted) {
+                     phases_.orphaned_daemons += report.orphan_daemons;
+                     phases_.lost_daemons += report.lost_daemons;
+                   }
+                 },
                  seconds(options.ping_period_seconds)),
         armed_(options.fail_at_seconds >= 0.0),
         kill_at_(sim.now() + seconds(std::max(0.0, options.fail_at_seconds))),
@@ -641,15 +651,6 @@ class FailureDrill {
     // Leaf payload retention — the recovery's raw material — only while a
     // kill is armed.
     engine_.set_retain_payloads(armed_);
-    triggers_.register_action([this](const tbon::FailureEvent& event) {
-      phases_.failure_detect_latency = event.detected_at - event.dead_at;
-      detected_at_ = event.detected_at;
-      const tbon::RecoveryReport report = engine_.recover(event.proc);
-      if (report.acted) {
-        phases_.orphaned_daemons += report.orphan_daemons;
-        phases_.lost_daemons += report.lost_daemons;
-      }
-    });
   }
 
   /// Call just before the engine starts the merge of a round that began at
@@ -685,7 +686,6 @@ class FailureDrill {
   sim::Simulator& sim_;
   tbon::Reduction<Payload>& engine_;
   PhaseBreakdown& phases_;
-  tbon::TriggerManager triggers_;
   tbon::HealthMonitor monitor_;
   bool armed_;
   SimTime kill_at_;

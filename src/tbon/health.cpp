@@ -1,6 +1,7 @@
 #include "tbon/health.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/status.hpp"
 #include "tbon/multicast.hpp"
@@ -9,15 +10,16 @@ namespace petastat::tbon {
 
 HealthMonitor::HealthMonitor(sim::Simulator& simulator, net::Network& network,
                              const TbonTopology& topology,
-                             TriggerManager& triggers, SimTime period)
+                             OnFailure on_failure, SimTime period)
     : sim_(simulator),
       net_(network),
       topo_(topology),
-      triggers_(triggers),
+      on_failure_(std::move(on_failure)),
       period_(period),
       dead_at_(topology.procs.size(), kSimTimeNever),
       reported_(topology.procs.size(), false) {
   check(period_ > 0, "HealthMonitor period must be positive");
+  check(static_cast<bool>(on_failure_), "HealthMonitor needs a callback");
 }
 
 void HealthMonitor::start() {
@@ -53,10 +55,9 @@ void HealthMonitor::sweep() {
         if (dead_at_[p] <= started && !reported_[p]) {
           reported_[p] = true;
           ++detections_;
-          triggers_.post(FailureEvent{p, dead_at_[p], detect_at});
+          on_failure_(FailureEvent{p, dead_at_[p], detect_at});
         }
       }
-      triggers_.dispatch();
       if (sweeps_ >= kMaxSweeps) {
         stopped_ = true;
         return;

@@ -6,29 +6,39 @@
 // gather completes — detection latency is the time to the next sweep plus
 // one fan-out/gather round trip, never a free oracle read.
 //
-// Detections are posted to a TriggerManager and dispatched on the simulator
-// thread; registered actions (normally Reduction::recover) re-route the
-// orphaned subtree.
+// Each detection is handed to the owner's callback on the simulator thread,
+// from inside the sweep that noticed it, in proc order; the callback
+// (normally Reduction::recover) re-routes the orphaned subtree.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/types.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 #include "tbon/topology.hpp"
-#include "tbon/trigger.hpp"
 
 namespace petastat::tbon {
 
+/// "Proc X died at time T, noticed at T'" — what the health monitor reports.
+/// `proc` indexes TbonTopology::procs.
+struct FailureEvent {
+  std::uint32_t proc = 0;
+  SimTime dead_at = 0;
+  SimTime detected_at = 0;
+};
+
 class HealthMonitor {
  public:
+  using OnFailure = std::function<void(const FailureEvent&)>;
+
   /// Bytes of one ping message (matches the sampling control multicast).
   static constexpr std::uint64_t kPingBytes = 96;
 
   HealthMonitor(sim::Simulator& simulator, net::Network& network,
-                const TbonTopology& topology, TriggerManager& triggers,
+                const TbonTopology& topology, OnFailure on_failure,
                 SimTime period);
 
   /// Schedules the first sweep one period from now. The monitor free-runs
@@ -59,7 +69,7 @@ class HealthMonitor {
   sim::Simulator& sim_;
   net::Network& net_;
   const TbonTopology& topo_;
-  TriggerManager& triggers_;
+  OnFailure on_failure_;
   SimTime period_;
   bool stopped_ = true;
   sim::EventId pending_{};

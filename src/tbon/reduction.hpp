@@ -45,8 +45,8 @@
 //
 // Failure model: mark_dead(proc) takes effect at once — the proc drops every
 // later arrival and never forwards, while its ancestors keep waiting on it.
-// recover(proc), normally driven by a HealthMonitor detection through the
-// TriggerManager, re-homes the orphaned leaves under the corpse round-robin
+// recover(proc), normally called from a HealthMonitor's detection callback,
+// re-homes the orphaned leaves under the corpse round-robin
 // onto the nearest alive ancestor's surviving non-leaf children (the
 // ancestor itself when it has none) and re-sends their retained payloads
 // there *in the current round*; an adopter that already forwarded is
@@ -330,8 +330,8 @@ class Reduction {
   }
 
   /// Marks a proc dead at the current virtual time: it drops every arrival
-  /// from now on and never forwards. Detection and re-routing are the health
-  /// monitor's and trigger manager's business.
+  /// from now on and never forwards. Detection is the health monitor's
+  /// business; re-routing is recover()'s, called from its callback.
   void mark_dead(std::uint32_t proc_index) { dead_[proc_index] = true; }
 
   /// Re-homes the subtree orphaned by a dead proc (see the failure model

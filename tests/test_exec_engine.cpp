@@ -1,5 +1,5 @@
-// Unit tests for the execution-engine layer: ThreadPool (worker pool + MPSC
-// completion queue) and sim::Executor (inline vs pooled submission, strand
+// Unit tests for the execution-engine layer: ThreadPool (worker pool with
+// per-task completion) and sim::Executor (inline vs pooled submission, strand
 // serialization). The determinism of full scenario runs is covered end to
 // end by test_parallel_determinism; this suite pins the substrate contracts
 // those runs rely on — and is the surface the TSan CI job hammers.
@@ -94,6 +94,51 @@ TEST(ThreadPool, ManyWaitersManyTasks) {
   // Wait in reverse order: most waits will be on already-done tasks.
   for (int i = kTasks - 1; i >= 0; --i) pool.wait(tasks[i]);
   for (int i = 0; i < kTasks; ++i) EXPECT_EQ(results[i], i);
+}
+
+TEST(ThreadPool, ConcurrentProducersRunEveryJobOnce) {
+  // Producers post packaged tasks and raw jobs from several threads while
+  // waiter threads block on those tasks, some before they are even posted.
+  // Every job must run exactly once (the TSan CI job runs this).
+  constexpr int kProducers = 4;
+  constexpr int kWaiters = 2;
+  constexpr int kPerProducer = 1000;  // half tasks, half raw jobs
+  constexpr int kJobs = kProducers * kPerProducer;
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> runs(kJobs);
+  std::vector<ThreadPool::TaskRef> tasks(kJobs);
+  for (int j = 0; j < kJobs; j += 2) {
+    tasks[j] = ThreadPool::package(
+        [&runs, j]() { runs[j].fetch_add(1, std::memory_order_relaxed); });
+  }
+  std::vector<std::thread> threads;
+  for (int p = 0; p < kProducers; ++p) {
+    threads.emplace_back([&pool, &runs, &tasks, p]() {
+      for (int j = p * kPerProducer; j < (p + 1) * kPerProducer; ++j) {
+        if (tasks[j] != nullptr) {
+          pool.post(tasks[j]);
+        } else {
+          pool.post_job([&runs, j]() {
+            runs[j].fetch_add(1, std::memory_order_relaxed);
+          });
+        }
+      }
+    });
+  }
+  for (int w = 0; w < kWaiters; ++w) {
+    threads.emplace_back([&pool, &tasks, w]() {
+      // Opposite ends of the task list, so one waiter mostly waits on
+      // tasks that are already done and the other on ones not yet posted.
+      for (int i = 0; i < kJobs; i += 2) {
+        pool.wait(tasks[w == 0 ? i : kJobs - 2 - i]);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  pool.wait_idle();
+  for (int j = 0; j < kJobs; ++j) EXPECT_EQ(runs[j].load(), 1) << "job " << j;
+  for (int j = 0; j < kJobs; j += 2) EXPECT_TRUE(tasks[j]->done());
+  EXPECT_EQ(pool.completed(), static_cast<std::uint64_t>(kJobs / 2));
 }
 
 // --------------------------------------------------------------------------

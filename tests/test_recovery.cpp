@@ -1,5 +1,5 @@
-// Mid-merge failure recovery: the TriggerManager's lock-free event queue,
-// the HealthMonitor's ping-sweep detection, Reduction::recover's subtree
+// Mid-merge failure recovery: the HealthMonitor's ping-sweep detection,
+// delivered to its callback, Reduction::recover's subtree
 // re-merge, the survivor-aware topology overloads, the scenario-level
 // orchestration, and the planner's recovery pricing.
 //
@@ -10,7 +10,6 @@
 
 #include <numeric>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "machine/cost_model.hpp"
@@ -19,7 +18,6 @@
 #include "tbon/health.hpp"
 #include "tbon/reduction.hpp"
 #include "tbon/topology.hpp"
-#include "tbon/trigger.hpp"
 
 namespace petastat {
 namespace {
@@ -34,60 +32,6 @@ machine::DaemonLayout layout_of(const machine::MachineConfig& m,
 }
 
 // --------------------------------------------------------------------------
-// TriggerManager: the lock-free failure-event queue.
-
-TEST(TriggerManager, DispatchRunsActionsInPostOrder) {
-  tbon::TriggerManager triggers;
-  std::vector<std::uint32_t> seen;
-  triggers.register_action(
-      [&seen](const tbon::FailureEvent& e) { seen.push_back(e.proc); });
-  triggers.post({7, 100, 200});
-  triggers.post({3, 101, 201});
-  triggers.post({9, 102, 202});
-  EXPECT_EQ(triggers.posted(), 3u);
-  EXPECT_EQ(triggers.dispatch(), 3u);
-  EXPECT_EQ(seen, (std::vector<std::uint32_t>{7, 3, 9}));
-  EXPECT_EQ(triggers.dispatched(), 3u);
-  // Nothing left.
-  EXPECT_EQ(triggers.dispatch(), 0u);
-}
-
-TEST(TriggerManager, EveryActionSeesEveryEvent) {
-  tbon::TriggerManager triggers;
-  std::uint32_t first = 0, second = 0;
-  triggers.register_action([&first](const tbon::FailureEvent&) { ++first; });
-  triggers.register_action([&second](const tbon::FailureEvent&) { ++second; });
-  triggers.post({1, 0, 0});
-  triggers.post({2, 0, 0});
-  triggers.dispatch();
-  EXPECT_EQ(first, 2u);
-  EXPECT_EQ(second, 2u);
-}
-
-TEST(TriggerManager, ConcurrentProducersLoseNoEvents) {
-  // The CAS push must hold up under contention (run under TSan in CI).
-  constexpr std::uint32_t kThreads = 4;
-  constexpr std::uint32_t kPerThread = 512;
-  tbon::TriggerManager triggers;
-  std::vector<std::uint32_t> counts(kThreads, 0);
-  triggers.register_action([&counts](const tbon::FailureEvent& e) {
-    ++counts[e.proc];
-  });
-  std::vector<std::thread> producers;
-  for (std::uint32_t t = 0; t < kThreads; ++t) {
-    producers.emplace_back([&triggers, t]() {
-      for (std::uint32_t i = 0; i < kPerThread; ++i) {
-        triggers.post({t, i, i});
-      }
-    });
-  }
-  for (auto& p : producers) p.join();
-  EXPECT_EQ(triggers.posted(), kThreads * kPerThread);
-  EXPECT_EQ(triggers.dispatch(), kThreads * kPerThread);
-  for (const std::uint32_t c : counts) EXPECT_EQ(c, kPerThread);
-}
-
-// --------------------------------------------------------------------------
 // HealthMonitor: ping-sweep detection latency.
 
 TEST(HealthMonitor, DetectsADeathWithinOnePeriodPlusRoundTrip) {
@@ -98,13 +42,11 @@ TEST(HealthMonitor, DetectsADeathWithinOnePeriodPlusRoundTrip) {
   sim::Simulator simulator;
   net::Network network(simulator, net::build_switch_graph(m));
 
-  tbon::TriggerManager triggers;
   std::vector<tbon::FailureEvent> events;
-  triggers.register_action(
-      [&events](const tbon::FailureEvent& e) { events.push_back(e); });
-
   const SimTime period = seconds(0.1);
-  tbon::HealthMonitor monitor(simulator, network, topo, triggers, period);
+  tbon::HealthMonitor monitor(
+      simulator, network, topo,
+      [&events](const tbon::FailureEvent& e) { events.push_back(e); }, period);
   monitor.start();
 
   const std::uint32_t victim = tbon::default_victim(topo);
@@ -136,8 +78,8 @@ TEST(HealthMonitor, StopSilencesTheSweep) {
       tbon::build_topology(m, layout, tbon::TopologySpec::flat()).value();
   sim::Simulator simulator;
   net::Network network(simulator, net::build_switch_graph(m));
-  tbon::TriggerManager triggers;
-  tbon::HealthMonitor monitor(simulator, network, topo, triggers, seconds(0.05));
+  tbon::HealthMonitor monitor(simulator, network, topo,
+                             [](const tbon::FailureEvent&) {}, seconds(0.05));
   monitor.start();
   simulator.schedule_at(seconds(0.12), [&monitor]() { monitor.stop(); });
   simulator.run();

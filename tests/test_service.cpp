@@ -418,6 +418,8 @@ TEST(ServiceTrace, ParsesConfigAndSessions) {
 }
 
 TEST(ServiceTrace, RejectsMalformedInput) {
+  const std::string deep_nesting =
+      R"({"sessions": )" + std::string(1000000, '[');
   const std::pair<const char*, const char*> cases[] = {
       {"not json at all", "malformed JSON"},
       {R"({"sessions": [{"tasks": 128}], )", "truncated object"},
@@ -438,6 +440,13 @@ TEST(ServiceTrace, RejectsMalformedInput) {
       {R"({"sessions": [{"sbrs": false}]})", "false boolean flag"},
       {R"({"sessions": [{"no-such-flag": 3}]})", "unknown session flag"},
       {R"({"sessions": [{"tasks": "many"}]})", "non-numeric tasks"},
+      {R"({"sessions": [{"arrival": 1-2}]})", "number with a trailing sign"},
+      {R"({"sessions": [{"arrival": 1.2.3}]})", "number with two points"},
+      {R"({"comm_slot_capacity": 2.5, "sessions": [{"tasks": 128}]})",
+       "fractional comm_slot_capacity"},
+      {R"({"fe_connection_capacity": 1e10, "sessions": [{"tasks": 128}]})",
+       "fe_connection_capacity out of range"},
+      {deep_nesting.c_str(), "nesting deeper than the cap"},
   };
   for (const auto& [text, what] : cases) {
     auto trace = parse_service_trace(text);
