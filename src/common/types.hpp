@@ -17,7 +17,20 @@ inline constexpr SimTime kMillisecond = 1'000'000;
 inline constexpr SimTime kSecond = 1'000'000'000;
 inline constexpr SimTime kSimTimeNever = std::numeric_limits<SimTime>::max();
 
+/// Largest number of seconds that converts to SimTime (about 570 years;
+/// 1.8e19 ns is below 2^64). Any user-supplied duration or instant that
+/// becomes a SimTime is checked with fits_sim_time() first.
+inline constexpr double kMaxSimSeconds = 1.8e10;
+
+/// True for a number of seconds in [0, kMaxSimSeconds]; false for negatives,
+/// NaN and infinities.
+constexpr bool fits_sim_time(double s) {
+  return s >= 0.0 && s <= kMaxSimSeconds;
+}
+
 /// Converts a floating-point number of seconds to SimTime, saturating at 0.
+/// Values above kMaxSimSeconds (and NaN) do not fit: validate input with
+/// fits_sim_time().
 constexpr SimTime seconds(double s) {
   return s <= 0.0 ? SimTime{0} : static_cast<SimTime>(s * 1e9);
 }

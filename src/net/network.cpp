@@ -75,25 +75,28 @@ std::uint32_t SwitchGraph::switch_of(NodeId node) const {
   return rule.first_switch + slot;
 }
 
-std::vector<std::uint32_t> SwitchGraph::switch_path(std::uint32_t a,
-                                                    std::uint32_t b) const {
-  check(sealed_, "switch_path before seal()");
-  std::vector<std::uint32_t> path;
-  if (a == b) return path;
-  // Walking the BFS tree rooted at min(a, b) makes path(b, a) the exact
-  // reverse of path(a, b) regardless of equal-length alternatives.
+void SwitchGraph::append_switch_path(std::uint32_t a, std::uint32_t b,
+                                     Route& route) const {
+  check(sealed_, "append_switch_path before seal()");
+  if (a == b) return;
+  // Walking the BFS tree rooted at min(a, b) makes the path from b to a the
+  // exact reverse of the path from a to b regardless of equal-length
+  // alternatives.
   const std::uint32_t root = std::min(a, b);
   const std::uint32_t n = num_switches();
+  const std::size_t first = route.size();
   std::uint32_t u = std::max(a, b);
   while (u != root) {
     const std::uint32_t e = parent_[static_cast<std::size_t>(root) * n + u];
     check(e != kNoEdge, "switch graph is disconnected");
-    path.push_back(e);
+    route.push_back({e, edges_[e].link});
     u = edges_[e].a == u ? edges_[e].b : edges_[e].a;
   }
   // The chain runs max -> root; flip when the caller travels root -> max.
-  if (a == root) std::reverse(path.begin(), path.end());
-  return path;
+  if (a == root) {
+    std::reverse(route.begin() + static_cast<std::ptrdiff_t>(first),
+                 route.end());
+  }
 }
 
 std::string SwitchGraph::device_name(std::uint64_t device) const {
@@ -255,20 +258,17 @@ SwitchGraph build_switch_graph(const machine::MachineConfig& machine) {
   return g;
 }
 
-Route route_between(const SwitchGraph& graph, NodeId src, NodeId dst) {
-  Route route;
-  const SwitchGraph::AttachRule& src_rule = graph.attach_rule(node_role(src));
-  const SwitchGraph::AttachRule& dst_rule = graph.attach_rule(node_role(dst));
-  route.push_back({SwitchGraph::access_device(src), src_rule.access});
+void route_between(const SwitchGraph& graph, NodeId src, NodeId dst,
+                   Route& route) {
+  route.clear();
+  route.push_back({SwitchGraph::access_device(src),
+                   graph.attach_rule(node_role(src)).access});
   if (src != dst) {
-    for (const std::uint32_t e :
-         graph.switch_path(graph.switch_of(src), graph.switch_of(dst))) {
-      route.push_back({e, graph.edges()[e].link});
-    }
+    graph.append_switch_path(graph.switch_of(src), graph.switch_of(dst), route);
   }
   // Self-transfers occupy the host's access device twice (tx + rx).
-  route.push_back({SwitchGraph::access_device(dst), dst_rule.access});
-  return route;
+  route.push_back({SwitchGraph::access_device(dst),
+                   graph.attach_rule(node_role(dst)).access});
 }
 
 double bottleneck_rate(const Route& route) {
@@ -303,7 +303,8 @@ Network::DeviceState& Network::device(std::uint64_t key) {
 }
 
 SimTime Network::transfer(NodeId src, NodeId dst, std::uint64_t bytes) {
-  const Route route = route_between(graph_, src, dst);
+  route_between(graph_, src, dst, route_);
+  const Route& route = route_;
   const double rate = bottleneck_rate(route);
   const auto ser = static_cast<SimTime>(static_cast<double>(bytes) / rate * 1e9);
 

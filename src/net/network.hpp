@@ -42,6 +42,14 @@ struct LinkParams {
   double bytes_per_sec = 1.0e9;
 };
 
+/// One hop of a resolved route: the serialization device it occupies and the
+/// link class that prices it.
+struct RouteHop {
+  std::uint64_t device = 0;
+  LinkParams link;
+};
+using Route = std::vector<RouteHop>;
+
 /// The interconnect as a graph over switch vertices. Hosts attach implicitly:
 /// each NodeRole has an AttachRule mapping host index -> switch, plus the
 /// access-link class shared by that tier (the old per-role NIC rate).
@@ -99,11 +107,12 @@ class SwitchGraph {
   /// Switch the node's access link lands on.
   [[nodiscard]] std::uint32_t switch_of(NodeId node) const;
 
-  /// Trunk edge ids from switch `a` to switch `b`, in travel order (empty
-  /// when a == b). Symmetric by construction: switch_path(b, a) is the exact
-  /// reverse. Fails if the switches are disconnected.
-  [[nodiscard]] std::vector<std::uint32_t> switch_path(std::uint32_t a,
-                                                       std::uint32_t b) const;
+  /// Appends the trunk hops from switch `a` to switch `b` to `route`, in
+  /// travel order (none when a == b), allocating nothing once `route` has
+  /// the capacity. Symmetric by construction: the path from b to a is the
+  /// exact reverse. Fails if the switches are disconnected.
+  void append_switch_path(std::uint32_t a, std::uint32_t b,
+                          Route& route) const;
 
   /// Human-readable name for a device key ("rack3-io--gige-core",
   /// "login[5].access").
@@ -120,14 +129,6 @@ class SwitchGraph {
   bool sealed_ = false;
 };
 
-/// One hop of a resolved route: the serialization device it occupies and the
-/// link class that prices it.
-struct RouteHop {
-  std::uint64_t device = 0;
-  LinkParams link;
-};
-using Route = std::vector<RouteHop>;
-
 /// Builds the switch graph for a machine from its InterconnectConfig.
 /// Replaces the old default_network_params(): presets carry real wiring
 /// shapes, ad hoc machines get a crossbar (every host one access link from
@@ -135,12 +136,21 @@ using Route = std::vector<RouteHop>;
 [[nodiscard]] SwitchGraph build_switch_graph(
     const machine::MachineConfig& machine);
 
-/// Deterministic route for a (src, dst) pair: src access link, the trunk
-/// edges between their switches, dst access link. A self-transfer occupies
-/// the host's access device twice (tx + rx), like the old double NIC
-/// reservation.
-[[nodiscard]] Route route_between(const SwitchGraph& graph, NodeId src,
-                                  NodeId dst);
+/// Deterministic route for a (src, dst) pair, written into `route` (its
+/// previous contents are replaced; a reused buffer makes this
+/// allocation-free): src access link, the trunk edges between their
+/// switches, dst access link. A self-transfer occupies the host's access
+/// device twice (tx + rx), like the old double NIC reservation.
+void route_between(const SwitchGraph& graph, NodeId src, NodeId dst,
+                   Route& route);
+
+/// As above, into a fresh Route.
+[[nodiscard]] inline Route route_between(const SwitchGraph& graph, NodeId src,
+                                         NodeId dst) {
+  Route route;
+  route_between(graph, src, dst, route);
+  return route;
+}
 
 /// Serialization rate of the route's slowest link.
 [[nodiscard]] double bottleneck_rate(const Route& route);
@@ -203,6 +213,7 @@ class Network {
   sim::Simulator& sim_;
   SwitchGraph graph_;
   std::unordered_map<std::uint64_t, DeviceState> devices_;
+  Route route_;  // transfer()'s reused route buffer
   std::uint64_t bytes_moved_ = 0;
   std::uint64_t messages_ = 0;
 };

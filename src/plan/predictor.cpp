@@ -38,6 +38,60 @@ double interpolate(const std::vector<std::uint32_t>& xs,
   return ys.back() + slope * (x - xs.back());
 }
 
+/// Serialization seconds per (tree level, link device) of one priced round,
+/// in one flat open-addressed table sized up front: charging a tree edge's
+/// hops allocates nothing. Each device's seconds are summed in the order
+/// they are charged (edge order), so every level's worst device is
+/// bit-for-bit what a per-level map of sums gives — the maximum does not
+/// depend on iteration order.
+class LevelDeviceSeconds {
+ public:
+  /// Room for `max_pairs` distinct (level, device) pairs at half load.
+  LevelDeviceSeconds(std::uint32_t depth, std::size_t max_pairs)
+      : depth_(depth) {
+    check(depth < (1u << kLevelBits), "topology deeper than the level key");
+    std::size_t capacity = 16;
+    while (capacity < 2 * max_pairs) capacity *= 2;
+    keys_.assign(capacity, kEmpty);
+    seconds_.assign(capacity, 0.0);
+  }
+
+  void add(std::uint32_t level, std::uint64_t device, double s) {
+    const std::uint64_t key = (device << kLevelBits) | level;
+    const std::size_t mask = keys_.size() - 1;
+    std::size_t i = ((key * 0x9e3779b97f4a7c15ull) >> 32) & mask;
+    while (keys_[i] != key && keys_[i] != kEmpty) i = (i + 1) & mask;
+    if (keys_[i] == kEmpty) {
+      ++pairs_;
+      check(2 * pairs_ <= keys_.size(),
+            "more (level, device) pairs than the table was sized for");
+      keys_[i] = key;
+    }
+    seconds_[i] += s;
+  }
+
+  /// The most-loaded device's seconds on each level (0 for a level no
+  /// transfer crossed).
+  [[nodiscard]] std::vector<double> worst_per_level() const {
+    std::vector<double> worst(depth_, 0.0);
+    for (std::size_t i = 0; i < keys_.size(); ++i) {
+      if (keys_[i] == kEmpty) continue;
+      double& w = worst[keys_[i] & ((1u << kLevelBits) - 1)];
+      w = std::max(w, seconds_[i]);
+    }
+    return worst;
+  }
+
+ private:
+  static constexpr unsigned kLevelBits = 8;
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
+  std::uint32_t depth_;
+  std::vector<std::uint64_t> keys_;
+  std::vector<double> seconds_;
+  std::size_t pairs_ = 0;
+};
+
 }  // namespace
 
 double WorkloadProfile::payload_bytes_for(double daemons) const {
@@ -474,9 +528,13 @@ StreamSamplePrediction PhasePredictor::price_round(
   struct LevelCost {
     double worst_cpu_s = 0.0;
     double worst_latency_s = 0.0;
-    std::unordered_map<std::uint64_t, double> device_s;  // per link device
   };
   std::vector<LevelCost> levels(topo.depth);
+  // A proc's access link is charged on at most two levels (as a child and
+  // as a parent), and a trunk on at most every level.
+  LevelDeviceSeconds device_s(topo.depth,
+                              2 * n + graph_.edges().size() * topo.depth);
+  net::Route route;  // reused for every edge
   const double msg_overhead_s = to_seconds(graph_.per_message_overhead());
   const double ack_codec_s =
       to_seconds(machine::control_packet_cost(costs_.stream));
@@ -503,12 +561,11 @@ StreamSamplePrediction PhasePredictor::price_round(
         cpu_s += ack_codec_s;
       }
       p.delta_bytes += wire;
-      const net::Route route =
-          net::route_between(graph_, topo.procs[c].host, parent.host);
+      net::route_between(graph_, topo.procs[c].host, parent.host, route);
       const double ser_s =
           static_cast<double>(wire) / net::bottleneck_rate(route);
       for (const net::RouteHop& hop : route) {
-        level.device_s[hop.device] += ser_s;
+        device_s.add(parent.level, hop.device, ser_s);
         if (links != nullptr) {
           LinkBytesPrediction& entry = (*links)[hop.device];
           entry.device = hop.device;
@@ -547,13 +604,11 @@ StreamSamplePrediction PhasePredictor::price_round(
                        header_bytes + static_cast<std::uint64_t>(
                                           profile.leaf_payload_bytes)))
                  : ack_codec_s;
+  const std::vector<double> worst_link_s = device_s.worst_per_level();
   for (std::size_t l = levels.size(); l-- > 0;) {
     const LevelCost& level = levels[l];
-    double worst_link_s = 0.0;
-    for (const auto& [device, s] : level.device_s) {
-      worst_link_s = std::max(worst_link_s, s);
-    }
-    merge_s += level.worst_latency_s + std::max(level.worst_cpu_s, worst_link_s);
+    merge_s += level.worst_latency_s +
+               std::max(level.worst_cpu_s, worst_link_s[l]);
   }
   p.merge = seconds(merge_s);
   return p;
@@ -598,13 +653,13 @@ Result<RecoveryPrediction> PhasePredictor::predict_recovery(
   // busiest parent's serialized ping sends), echo gather symmetric.
   const double msg_overhead_s = to_seconds(graph_.per_message_overhead());
   std::vector<double> level_s(topo.depth, 0.0);
+  net::Route route;  // reused for every edge
   for (const auto& parent : topo.procs) {
     if (parent.children.empty()) continue;
     double worst_link_s = 0.0;
     double nic_s = 0.0;
     for (const std::uint32_t c : parent.children) {
-      const net::Route route =
-          net::route_between(graph_, parent.host, topo.procs[c].host);
+      net::route_between(graph_, parent.host, topo.procs[c].host, route);
       worst_link_s =
           std::max(worst_link_s,
                    to_seconds(net::route_latency(route)) + msg_overhead_s);

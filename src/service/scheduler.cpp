@@ -55,8 +55,9 @@ Status SessionScheduler::submit(SessionRequest request) {
         "session priority " + std::to_string(request.priority) +
         " out of range (0.." + std::to_string(kMaxSessionPriority) + ")");
   }
-  if (request.arrival_seconds < 0.0) {
-    return invalid_argument("session arrival must be >= 0 seconds");
+  if (!fits_sim_time(request.arrival_seconds)) {
+    return invalid_argument(
+        "session arrival must be a number of seconds in 0..1.8e10");
   }
   Session session;
   session.index = static_cast<std::uint32_t>(sessions_.size());
@@ -73,38 +74,45 @@ Status SessionScheduler::submit(SessionRequest request) {
   return Status::ok();
 }
 
-SessionScheduler::Resolution SessionScheduler::resolve(
-    const Session& session, const ResourceLedger& view) const {
-  Resolution res;
-  const machine::JobConfig& job = session.request.job;
-  const stat::StatOptions& options = session.request.options;
-
+SessionScheduler::Plan& SessionScheduler::resolve(Session& session,
+                                                  const ResourceLedger& view) {
   // A pinned session's spec never depends on contention: it is priced
   // against the preset machine and gated by the ledger alone. An auto
   // session plans against the residual — an "effective machine" whose
   // login-slot and connection ceilings are the view's free capacity.
-  if (session.pinned) {
-    res.machine = config_.machine;
-    res.eval_key = "pinned";
-  } else {
-    res.machine = config_.machine;
-    if (!res.machine.comm_procs_on_compute_allocation &&
-        res.machine.login_nodes > 0) {
-      res.machine.max_comm_procs_per_login = static_cast<std::uint32_t>(
-          view.free().comm_slots / res.machine.login_nodes);
+  machine::MachineConfig effective = config_.machine;
+  std::string key = "pinned";
+  if (!session.pinned) {
+    if (!effective.comm_procs_on_compute_allocation &&
+        effective.login_nodes > 0) {
+      effective.max_comm_procs_per_login = static_cast<std::uint32_t>(
+          view.free().comm_slots / effective.login_nodes);
     }
-    res.machine.max_tool_connections =
-        std::min<std::uint32_t>(res.machine.max_tool_connections,
-                                view.free().fe_connections);
-    res.eval_key = "auto|" +
-                   std::to_string(res.machine.max_comm_procs_per_login) + "|" +
-                   std::to_string(res.machine.max_tool_connections);
+    effective.max_tool_connections = std::min<std::uint32_t>(
+        effective.max_tool_connections, view.free().fe_connections);
+    key = "auto|" + std::to_string(effective.max_comm_procs_per_login) +
+          "|" + std::to_string(effective.max_tool_connections);
   }
   if (session.checkpoint != nullptr) {
     // A restored leg is a different run (it resumes mid-series, possibly
-    // re-planned), so it must never reuse the pre-vacate memoized result.
-    res.eval_key += "|r" + std::to_string(session.restarts);
+    // re-planned), so it must never reuse a pre-vacate plan or result.
+    key += "|r" + std::to_string(session.restarts);
   }
+  // The request, the checkpoint leg and the effective machine determine the
+  // resolution, so each key is planned once however often it is asked for.
+  auto [it, inserted] = session.plans.try_emplace(std::move(key));
+  if (inserted) {
+    it->second.resolution = build_resolution(session, std::move(effective));
+  }
+  return it->second;
+}
+
+SessionScheduler::Resolution SessionScheduler::build_resolution(
+    const Session& session, machine::MachineConfig effective) const {
+  Resolution res;
+  res.machine = std::move(effective);
+  const machine::JobConfig& job = session.request.job;
+  const stat::StatOptions& options = session.request.options;
 
   auto layout = machine::layout_daemons(res.machine, job);
   if (!layout.is_ok()) {
@@ -177,19 +185,18 @@ SessionScheduler::Resolution SessionScheduler::resolve(
   return res;
 }
 
-const stat::StatRunResult& SessionScheduler::evaluate(
-    Session& session, const Resolution& resolution) {
-  for (const auto& [key, result] : session.evals) {
-    if (key == resolution.eval_key) return result;
-  }
+const stat::StatRunResult& SessionScheduler::evaluate(const Session& session,
+                                                      Plan& plan) {
   // The inner run is deterministic and self-contained, so evaluating a
   // session (for a backfill duration, say) *is* running it — the result is
   // reused verbatim at admission, never recomputed.
-  stat::StatScenario scenario(resolution.machine, session.request.job,
-                              session.request.options, &exec_,
-                              session.checkpoint);
-  session.evals.emplace_back(resolution.eval_key, scenario.run());
-  return session.evals.back().second;
+  if (!plan.result) {
+    stat::StatScenario scenario(plan.resolution.machine, session.request.job,
+                                session.request.options, &exec_,
+                                session.checkpoint);
+    plan.result = scenario.run();
+  }
+  return *plan.result;
 }
 
 void SessionScheduler::arrive(std::uint32_t index) {
@@ -200,26 +207,27 @@ void SessionScheduler::arrive(std::uint32_t index) {
   const ResourceLedger idle(ledger_.comm_slot_capacity(),
                             ledger_.fe_connection_capacity(),
                             ledger_.exec_thread_capacity());
-  Resolution at_idle = resolve(session, idle);
-  if (at_idle.status.is_ok() && !idle.fits(at_idle.demand)) {
-    at_idle.status = resource_exhausted(
+  const Resolution& at_idle = resolve(session, idle).resolution;
+  Status verdict = at_idle.status;
+  if (verdict.is_ok() && !idle.fits(at_idle.demand)) {
+    verdict = resource_exhausted(
         "session '" + session.request.name +
         "' demands more than the machine has: " +
         std::to_string(at_idle.demand.comm_slots) + " comm slots / " +
         std::to_string(at_idle.demand.fe_connections) + " connections / " +
         std::to_string(at_idle.demand.exec_threads) + " executor threads");
   }
-  if (!at_idle.status.is_ok()) {
+  if (!verdict.is_ok()) {
     session.state = State::kDone;
-    session.stats.status = at_idle.status;
+    session.stats.status = std::move(verdict);
     return;
   }
   session.state = State::kQueued;
   schedule_pass();
 }
 
-void SessionScheduler::admit(Session& session, const Resolution& resolution,
-                             bool backfilled) {
+void SessionScheduler::admit(Session& session, Plan& plan, bool backfilled) {
+  const Resolution& resolution = plan.resolution;
   const SimTime now = sim_.now();
   ledger_.acquire(resolution.demand, now);
   session.state = State::kRunning;
@@ -230,12 +238,15 @@ void SessionScheduler::admit(Session& session, const Resolution& resolution,
   session.stats.start = now;
   session.stats.queue_wait = now - session.stats.arrival;
 
-  const stat::StatRunResult& result = evaluate(session, resolution);
-  session.stats.result = result;
-  session.stats.status = result.status;
+  evaluate(session, plan);
+  session.stats.result = std::move(*plan.result);
+  session.stats.status = session.stats.result.status;
+  // A running session is never resolved again, and a vacated one comes back
+  // under a new "|r" key: no memoized plan can be asked for after this.
+  session.plans.clear();
 
   const std::uint32_t index = session.index;
-  sim_.schedule_at(now + result.total_virtual_time,
+  sim_.schedule_at(now + session.stats.result.total_virtual_time,
                    [this, index]() { complete(index); });
 }
 
@@ -285,7 +296,7 @@ std::vector<std::uint32_t> SessionScheduler::queue_order() const {
 }
 
 SessionScheduler::Reservation SessionScheduler::compute_reservation(
-    const Session& head) {
+    Session& head) {
   // EASY backfill's shadow: walk a copy of the ledger through the running
   // sessions' completions (earliest first) until the head fits. For an auto
   // head the spec is re-resolved under each hypothetical residual — more
@@ -303,7 +314,7 @@ SessionScheduler::Reservation SessionScheduler::compute_reservation(
   ResourceLedger copy = ledger_;
   for (const auto& [completes_at, stats] : running) {
     copy.release(stats->demand, completes_at);
-    const Resolution res = resolve(head, copy);
+    const Resolution& res = resolve(head, copy).resolution;
     if (!res.status.is_ok() || !copy.fits(res.demand)) continue;
     r.found = true;
     r.shadow = completes_at;
@@ -324,9 +335,10 @@ void SessionScheduler::schedule_pass() {
     if (queue.empty()) return;
 
     Session& head = sessions_[queue.front()];
-    const Resolution head_res = resolve(head, ledger_);
+    Plan& head_plan = resolve(head, ledger_);
+    const Resolution& head_res = head_plan.resolution;
     if (head_res.status.is_ok() && ledger_.fits(head_res.demand)) {
-      admit(head, head_res, /*backfilled=*/false);
+      admit(head, head_plan, /*backfilled=*/false);
       changed = true;
       continue;
     }
@@ -339,18 +351,19 @@ void SessionScheduler::schedule_pass() {
 
     for (std::size_t qi = 1; qi < queue.size(); ++qi) {
       Session& candidate = sessions_[queue[qi]];
-      const Resolution res = resolve(candidate, ledger_);
+      Plan& plan = resolve(candidate, ledger_);
+      const Resolution& res = plan.resolution;
       if (!res.status.is_ok() || !ledger_.fits(res.demand)) continue;
       // Never delay the head: the candidate must either be gone by the
       // shadow (its deterministic duration is exact, not an estimate) or
       // fit inside the capacity the head leaves free at the shadow.
-      const stat::StatRunResult& result = evaluate(candidate, res);
+      const stat::StatRunResult& result = evaluate(candidate, plan);
       const bool done_by_shadow =
           sim_.now() + result.total_virtual_time <= reservation.shadow;
       if (!done_by_shadow && !res.demand.fits_within(reservation.extra)) {
         continue;
       }
-      admit(candidate, res, /*backfilled=*/true);
+      admit(candidate, plan, /*backfilled=*/true);
       changed = true;
       break;  // the reservation moved; recompute before the next candidate
     }

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -97,7 +98,8 @@ class SessionScheduler {
   SessionScheduler& operator=(const SessionScheduler&) = delete;
 
   /// Enqueues a request for the run. INVALID_ARGUMENT for out-of-range
-  /// priority or negative arrival; FAILED_PRECONDITION after run().
+  /// priority or an arrival outside 0..kMaxSimSeconds (NaN included);
+  /// FAILED_PRECONDITION after run().
   Status submit(SessionRequest request);
 
   /// Replays every submitted arrival and drains the service clock.
@@ -109,9 +111,9 @@ class SessionScheduler {
  private:
   enum class State { kWaiting, kQueued, kRunning, kDone };
 
-  /// One resolution of a session against a ledger view: the spec the planner
-  /// picked (for auto modes, under the view's residual capacity) and the
-  /// demand it would hold.
+  /// One resolution of a session against an effective machine: the spec the
+  /// planner picked (for auto modes, under that machine's residual
+  /// capacity) and the demand it would hold.
   struct Resolution {
     Status status = Status::ok();
     tbon::TopologySpec spec;
@@ -119,7 +121,13 @@ class SessionScheduler {
     /// The machine the admitted scenario must be constructed with so its
     /// internal auto resolution reproduces `spec`.
     machine::MachineConfig machine;
-    std::string eval_key;  // caches deterministic runs per resolution
+  };
+
+  /// A session's plan for one effective machine: its resolution and, once
+  /// the session has been evaluated under it, the deterministic run.
+  struct Plan {
+    Resolution resolution;
+    std::optional<stat::StatRunResult> result;
   };
 
   struct Session {
@@ -133,10 +141,12 @@ class SessionScheduler {
     std::shared_ptr<const stat::SessionCheckpoint> checkpoint;
     std::uint32_t restarts = 0;
     SessionStats stats;
-    /// Memoized deterministic runs, keyed by Resolution::eval_key (a pinned
-    /// session has exactly one entry; an auto session one per distinct
-    /// effective machine it was priced under).
-    std::vector<std::pair<std::string, stat::StatRunResult>> evals;
+    /// Memoized plans while the session waits, keyed by what a resolution
+    /// depends on: "pinned" or "auto|<comm slots per login>|<connections>"
+    /// (the effective machine), plus "|r<restarts>" on a restored leg. A
+    /// pinned session has one entry; an auto session one per effective
+    /// machine it was priced under. Emptied at admission.
+    std::map<std::string, Plan> plans;
   };
 
   struct Reservation {
@@ -145,14 +155,16 @@ class SessionScheduler {
     SessionDemand extra;   // free capacity at the shadow, head's share removed
   };
 
-  [[nodiscard]] Resolution resolve(const Session& session,
-                                   const ResourceLedger& view) const;
-  const stat::StatRunResult& evaluate(Session& session,
-                                      const Resolution& resolution);
+  /// The session's plan under `view`'s free capacity: looked up in the
+  /// session's memo, planned (build_resolution) only on a miss.
+  Plan& resolve(Session& session, const ResourceLedger& view);
+  [[nodiscard]] Resolution build_resolution(
+      const Session& session, machine::MachineConfig effective) const;
+  const stat::StatRunResult& evaluate(const Session& session, Plan& plan);
   void arrive(std::uint32_t index);
   void complete(std::uint32_t index);
-  void admit(Session& session, const Resolution& resolution, bool backfilled);
-  [[nodiscard]] Reservation compute_reservation(const Session& head);
+  void admit(Session& session, Plan& plan, bool backfilled);
+  [[nodiscard]] Reservation compute_reservation(Session& head);
   void schedule_pass();
   [[nodiscard]] std::vector<std::uint32_t> queue_order() const;
 

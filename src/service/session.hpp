@@ -28,7 +28,7 @@ inline constexpr std::uint32_t kMaxSessionPriority = 100;
 struct SessionRequest {
   std::string name;
   /// When the request reaches the service, in virtual seconds from the
-  /// service epoch. Must be >= 0.
+  /// service epoch. Must be in 0..kMaxSimSeconds (fits_sim_time).
   double arrival_seconds = 0.0;
   /// Higher runs first; ties broken by arrival, then submission order.
   /// Must be <= kMaxSessionPriority.

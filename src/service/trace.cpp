@@ -271,8 +271,11 @@ Result<SessionRequest> parse_session(const JsonValue& value,
       continue;
     }
     if (key == "arrival") {
-      if (member.kind != JsonValue::Kind::kNumber || member.number < 0.0) {
-        return invalid_argument(label + ".arrival must be a number >= 0");
+      if (member.kind != JsonValue::Kind::kNumber ||
+          !fits_sim_time(member.number)) {
+        return invalid_argument(label +
+                                ".arrival must be a number of seconds in "
+                                "0..1.8e10");
       }
       request.arrival_seconds = member.number;
       continue;

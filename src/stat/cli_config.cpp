@@ -23,7 +23,9 @@ Result<double> parse_fraction(std::string_view flag, std::string_view text) {
   // from_chars(double) is not universally available; parse by hand.
   try {
     const double v = std::stod(std::string(text));
-    if (v < 0.0 || v > 1.0) return bad(std::string(flag) + " must be in [0,1]");
+    if (!(v >= 0.0 && v <= 1.0)) {  // NaN fails both comparisons
+      return bad(std::string(flag) + " must be in [0,1]");
+    }
     return v;
   } catch (const std::exception&) {
     return bad(std::string(flag) + " expects a fraction, got '" +
@@ -34,7 +36,9 @@ Result<double> parse_fraction(std::string_view flag, std::string_view text) {
 Result<double> parse_seconds(std::string_view flag, std::string_view text) {
   try {
     const double v = std::stod(std::string(text));
-    if (v < 0.0) return bad(std::string(flag) + " must be >= 0 seconds");
+    if (!fits_sim_time(v)) {
+      return bad(std::string(flag) + " must be a number of seconds in 0..1.8e10");
+    }
     return v;
   } catch (const std::exception&) {
     return bad(std::string(flag) + " expects seconds, got '" +

@@ -155,6 +155,8 @@ TEST(Cli, FailureFractionOutOfRangeIsInvalidArgument) {
   EXPECT_EQ(under.status().code(), StatusCode::kInvalidArgument);
   const auto word = parse_cli(args({"--fail-fraction", "half"}));
   EXPECT_EQ(word.status().code(), StatusCode::kInvalidArgument);
+  const auto nan = parse_cli(args({"--fail-fraction", "nan"}));
+  EXPECT_EQ(nan.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(Cli, RecoveryFlags) {
@@ -172,6 +174,10 @@ TEST(Cli, RecoveryFlags) {
 
   EXPECT_FALSE(parse_cli(args({"--fail-at", "-1"})).is_ok());
   EXPECT_FALSE(parse_cli(args({"--fail-at", "soon"})).is_ok());
+  // Seconds must fit SimTime: no NaN, no infinity, nothing past 1.8e10 s.
+  EXPECT_FALSE(parse_cli(args({"--fail-at", "nan"})).is_ok());
+  EXPECT_FALSE(parse_cli(args({"--fail-at", "inf"})).is_ok());
+  EXPECT_FALSE(parse_cli(args({"--fail-at", "2e10"})).is_ok());
   EXPECT_FALSE(parse_cli(args({"--ping-period", "0"})).is_ok());
   EXPECT_FALSE(parse_cli(args({"--ping-period", "-0.25"})).is_ok());
 }
@@ -216,6 +222,14 @@ TEST(Cli, StreamFlagRejectsMalformedRequests) {
   EXPECT_FALSE(parse_cli(args({"--stream", "5:"})).is_ok());  // empty interval
   EXPECT_FALSE(parse_cli(args({"--stream", "5:fast"})).is_ok());
   EXPECT_FALSE(parse_cli(args({"--stream", "20000"})).is_ok());  // out of range
+  // The interval becomes SimTime: NaN, infinity and anything past
+  // kMaxSimSeconds are rejected, the bound itself is kept.
+  EXPECT_FALSE(parse_cli(args({"--stream", "3:nan"})).is_ok());
+  EXPECT_FALSE(parse_cli(args({"--stream", "3:inf"})).is_ok());
+  EXPECT_FALSE(parse_cli(args({"--stream", "3:1e12"})).is_ok());
+  EXPECT_EQ(parse_cli(args({"--stream", "3:nan"})).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(parse_cli(args({"--stream", "3:1.8e10"})).is_ok());
 }
 
 TEST(Cli, StreamFullRemergeAndEvolveFlags) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -142,12 +143,18 @@ TEST(SessionScheduler, SubmitValidatesPriorityAndArrival) {
   EXPECT_EQ(scheduler.submit(bad_priority).code(),
             StatusCode::kInvalidArgument);
 
-  SessionRequest bad_arrival = small_session("a", 0.0);
-  bad_arrival.arrival_seconds = -1.0;
-  EXPECT_EQ(scheduler.submit(bad_arrival).code(),
-            StatusCode::kInvalidArgument);
+  // Arrivals become SimTime: negative, NaN, infinite and anything past
+  // kMaxSimSeconds (2e10 s overflows the cast) are rejected.
+  for (const double arrival : {-1.0, std::nan(""), HUGE_VAL, 2e10}) {
+    SessionRequest bad_arrival = small_session("a", 0.0);
+    bad_arrival.arrival_seconds = arrival;
+    EXPECT_EQ(scheduler.submit(bad_arrival).code(),
+              StatusCode::kInvalidArgument)
+        << arrival;
+  }
 
   EXPECT_TRUE(scheduler.submit(small_session("ok", 0.0)).is_ok());
+  EXPECT_TRUE(scheduler.submit(small_session("late", kMaxSimSeconds)).is_ok());
 }
 
 TEST(SessionScheduler, SubmitAfterRunIsFailedPrecondition) {
@@ -380,6 +387,115 @@ TEST(SessionScheduler, AutoTopologyPlansAgainstResidualCapacity) {
   EXPECT_EQ(class_signature(resolved.result), class_signature(solo.run()));
 }
 
+// --- Plan memo -------------------------------------------------------------
+
+/// PhasePredictor::create calls so far: each one looks up both probe
+/// profiles (batched and stream), hit or miss.
+std::uint64_t predictor_creates() {
+  const plan::ProfileCacheCounters c = plan::profile_cache_counters();
+  return (c.hits + c.misses) / 2;
+}
+
+SessionRequest auto_session(const std::string& name, double arrival,
+                            std::uint32_t exec_threads) {
+  SessionRequest request = small_session(name, arrival);
+  request.options.topology_auto = true;
+  request.options.exec_threads = exec_threads;
+  return request;
+}
+
+TEST(SessionScheduler, PlansOncePerEffectiveMachine) {
+  // Every head check, shadow-walk step and candidate scan asks for a queued
+  // session's plan; the planner runs once per distinct (session, effective
+  // machine) pair, and once more in each admitted auto session's scenario.
+  {
+    // Three auto sessions need both executor threads, so they queue behind
+    // "long" through every pass the later arrivals trigger. The connection
+    // capacity is far above atlas's 255-connection ceiling, so each auto
+    // session's effective machine never changes: one plan each.
+    ServiceConfig config;
+    config.machine = machine::atlas();
+    config.executor_threads = 2;
+    config.fe_connection_capacity = 1'000'000;
+    SessionScheduler scheduler(config);
+    ASSERT_TRUE(
+        scheduler.submit(small_session("long", 0.0, 0, /*stream=*/8)).is_ok());
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(scheduler
+                      .submit(auto_session("auto-" + std::to_string(i),
+                                           0.1 * (i + 1), 2))
+                      .is_ok());
+    }
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(
+          scheduler.submit(small_session("small-" + std::to_string(i),
+                                         0.4 + 0.1 * i))
+              .is_ok());
+    }
+    const std::uint64_t before = predictor_creates();
+    const ServiceReport report = scheduler.run();
+    ASSERT_EQ(report.completed, 7u);
+    EXPECT_GT(stats_for(report, "auto-2").queue_wait, 0u);
+    EXPECT_EQ(predictor_creates() - before, 3u + 3u);
+  }
+  {
+    // "wide" needs both threads while "blocker" holds one thread and 16 of
+    // the 20 connections. It is planned on two effective machines — the
+    // idle one at arrival (20 connections, which the shadow walk and the
+    // final admission ask for again) and the residual one (4 connections)
+    // at the blocked head check — plus once by its admitted scenario.
+    ServiceConfig config;
+    config.machine = machine::atlas();
+    config.executor_threads = 2;
+    config.fe_connection_capacity = 20;
+    SessionScheduler scheduler(config);
+    ASSERT_TRUE(
+        scheduler.submit(small_session("blocker", 0.0, 0, /*stream=*/4))
+            .is_ok());
+    ASSERT_TRUE(scheduler.submit(auto_session("wide", 0.5, 2)).is_ok());
+    const std::uint64_t before = predictor_creates();
+    const ServiceReport report = scheduler.run();
+    ASSERT_EQ(report.completed, 2u);
+    EXPECT_EQ(stats_for(report, "wide").start,
+              stats_for(report, "blocker").completion);
+    EXPECT_EQ(predictor_creates() - before, 2u + 1u);
+  }
+}
+
+TEST(SessionScheduler, VacatedAutoSessionReplansItsRestoredLeg) {
+  SessionRequest request = auto_session("vacating", 0.0, 1);
+  request.job.num_tasks = 512;
+  request.options.stream_samples = 4;
+  request.options.evolution = app::TraceEvolution::kDrift;
+  request.options.vacate_at_round = 2;
+
+  ServiceConfig config;
+  config.machine = machine::atlas();
+  config.executor_threads = 1;
+  SessionScheduler scheduler(config);
+  ASSERT_TRUE(scheduler.submit(request).is_ok());
+  const std::uint64_t before = predictor_creates();
+  const ServiceReport report = scheduler.run();
+  ASSERT_EQ(report.completed, 1u);
+
+  const SessionStats& stats = stats_for(report, "vacating");
+  EXPECT_EQ(stats.restarts, 1u);
+  // The final leg is the restored one, run to the end of the series.
+  EXPECT_TRUE(stats.result.restored);
+  EXPECT_FALSE(stats.result.vacated);
+  EXPECT_EQ(stats.result.restore_cursor, 2u);
+  // Planned afresh after the vacate (the "|r1" key): the first leg's plan
+  // and its scenario, then the restored leg's plan and its scenario. A
+  // restored leg served from the pre-vacate memo would plan 2 times.
+  EXPECT_EQ(predictor_creates() - before, 4u);
+
+  SessionRequest uninterrupted = request;
+  uninterrupted.options.vacate_at_round = -1;
+  stat::StatScenario solo(machine::atlas(), uninterrupted.job,
+                          uninterrupted.options);
+  EXPECT_EQ(class_signature(stats.result), class_signature(solo.run()));
+}
+
 // --- Trace parsing ---------------------------------------------------------
 
 TEST(ServiceTrace, ParsesConfigAndSessions) {
@@ -434,6 +550,8 @@ TEST(ServiceTrace, RejectsMalformedInput) {
       {R"({"machine": "atlas"})", "missing sessions"},
       {R"({"sessions": [{"priority": 101}]})", "priority out of range"},
       {R"({"sessions": [{"arrival": -1}]})", "negative arrival"},
+      {R"({"sessions": [{"arrival": 2e10}]})", "arrival past SimTime"},
+      {R"({"sessions": [{"arrival": 1e400}]})", "infinite arrival"},
       {R"({"sessions": [{"name": ""}]})", "empty name"},
       {R"({"sessions": [{"machine": "bgl"}]})", "per-session machine"},
       {R"({"sessions": [{"service": "x.json"}]})", "per-session service"},

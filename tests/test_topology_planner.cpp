@@ -7,6 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "plan/search.hpp"
 #include "stat/cli_config.hpp"
@@ -332,6 +336,151 @@ TEST(StreamPricing, OneChangedDaemonRemergesExactlyItsAncestors) {
     EXPECT_LT(one.value().delta_bytes, all.value().delta_bytes);
     EXPECT_LT(one.value().merge, all.value().merge);
   });
+}
+
+// --------------------------------------------------------------------------
+// Pinned predictions
+
+/// One ranked spec's predicted phases, in nanoseconds of virtual time.
+struct PinnedPrediction {
+  const char* spec;
+  SimTime connect;
+  SimTime startup;
+  SimTime merge;
+  std::uint32_t comm_procs;
+};
+
+void expect_pinned(const std::vector<RankedTopology>& ranked,
+                   const std::vector<PinnedPrediction>& pinned,
+                   SimTime remap) {
+  // Launch and sampling do not depend on the spec or the representation.
+  constexpr SimTime kLaunch = 184948960000;
+  constexpr SimTime kSampling = 9150022826;
+  ASSERT_EQ(ranked.size(), pinned.size());
+  for (std::size_t i = 0; i < pinned.size(); ++i) {
+    SCOPED_TRACE(std::to_string(i) + ": " + pinned[i].spec);
+    const PhasePrediction& p = ranked[i].prediction;
+    EXPECT_EQ(ranked[i].spec.name(), pinned[i].spec);
+    EXPECT_EQ(p.launch, kLaunch);
+    EXPECT_EQ(p.connect, pinned[i].connect);
+    EXPECT_EQ(p.startup, pinned[i].startup);
+    EXPECT_EQ(p.sampling, kSampling);
+    EXPECT_EQ(p.merge, pinned[i].merge);
+    EXPECT_EQ(p.remap, remap);
+    EXPECT_EQ(p.num_comm_procs, pinned[i].comm_procs);
+  }
+}
+
+TEST(TopologySearch, PetascaleUrgentSessionRankingIsPinned) {
+  // The service benchmark's urgent session (petascale, 65,536 tasks,
+  // --topology auto) under two residual machines the scheduler plans it
+  // on: the idle one (32 comm slots per login, 1,024 connections) and one
+  // with a login slot and 68 connections taken. Every spec name and
+  // predicted time is pinned exactly, so a change to the round pricer or
+  // the route walk that moves any prediction by a nanosecond fails here.
+  // Hierarchical merges are bound by the parents' CPUs; dense ones by the
+  // busiest link device, which pins the per-device sums too.
+  const std::vector<PinnedPrediction> hier = {
+      {"2-deep[4]", 1728000000, 186676960000, 197028513, 4},
+      {"2-deep[2]", 1615000000, 186563960000, 386372978, 2},
+      {"2-deep[8]", 2530000000, 187478960000, 104600081, 8},
+      {"1-deep", 1886000000, 186834960000, 764793801, 0},
+      {"3-deep[4,4]", 2717500000, 187666460000, 198775489, 8},
+      {"3-deep[4,8]", 3515000000, 188463960000, 104103257, 12},
+      {"2-deep[16]", 4422000000, 189370960000, 62848466, 16},
+      {"3-deep[8,8]", 4507500000, 189456460000, 106229569, 16},
+      {"3-deep(16)", 5398000000, 190346960000, 57894042, 20},
+      {"3-deep[8,16]", 6389000000, 191337960000, 59265754, 24},
+      {"3-deep(24)", 7345500000, 192294460000, 43728918, 28},
+      {"2-deep", 7363500000, 192312460000, 51666678, 28},
+      {"2-deep", 8350000000, 193298960000, 50917858, 32},
+      {"3-deep[4,32]", 9308000000, 194256960000, 37018233, 36},
+      {"3-deep[8,32]", 10296000000, 195244960000, 36900745, 40},
+      {"2-deep[64]", 16278000000, 201226960000, 62817954, 64},
+      {"3-deep[4,64]", 17200000000, 202148960000, 31047930, 68},
+      {"3-deep[8,64]", 18182000000, 203130960000, 27952042, 72},
+      {"2-deep[128]", 32170000000, 217118960000, 104508802, 128},
+      {"3-deep", 33000500000, 217949460000, 27177670, 132},
+      {"3-deep[4,128]", 33020000000, 217968960000, 36997978, 132},
+      {"3-deep[8,128]", 33990000000, 218938960000, 27945290, 136},
+      {"2-deep[256]", 63972000000, 248920960000, 196835825, 256},
+      {"3-deep[4,256]", 64678000000, 249626960000, 57843401, 260},
+      {"3-deep[8,256]", 65624000000, 250572960000, 36877114, 264},
+      {"2-deep[512]", 127585000000, 312533960000, 385909185, 512},
+      {"3-deep[4,512]", 128003000000, 312951960000, 103993497, 516},
+      {"3-deep[8,512]", 128901000000, 313849960000, 59206666, 520},
+  };
+  const std::vector<PinnedPrediction> dense = {
+      {"2-deep[4]", 1728000000, 186676960000, 299150147, 4},
+      {"2-deep[2]", 1615000000, 186563960000, 588099532, 2},
+      {"2-deep[8]", 2530000000, 187478960000, 158098243, 8},
+      {"3-deep[4,4]", 2717500000, 187666460000, 301428139, 8},
+      {"3-deep[4,8]", 3515000000, 188463960000, 156953447, 12},
+      {"2-deep[16]", 4422000000, 189370960000, 94392867, 16},
+      {"3-deep[8,8]", 4507500000, 189456460000, 160386235, 16},
+      {"3-deep(16)", 5398000000, 190346960000, 96669769, 20},
+      {"3-deep[8,16]", 6389000000, 191337960000, 183092774, 24},
+      {"3-deep(24)", 7345500000, 192294460000, 154982059, 28},
+      {"2-deep", 7363500000, 192312460000, 142119385, 28},
+      {"2-deep", 8350000000, 193298960000, 164910584, 32},
+      {"3-deep[4,32]", 9308000000, 194256960000, 143289060, 36},
+      {"3-deep[8,32]", 10296000000, 195244960000, 143299060, 40},
+      {"2-deep[64]", 16278000000, 201226960000, 159244749, 64},
+      {"3-deep[4,64]", 17200000000, 202148960000, 110320921, 68},
+      {"3-deep[8,64]", 18182000000, 203130960000, 105780537, 72},
+      {"2-deep[128]", 32170000000, 217118960000, 232050893, 128},
+      {"3-deep", 33000500000, 217949460000, 108836485, 132},
+      {"3-deep[4,128]", 33020000000, 217968960000, 128522457, 132},
+      {"3-deep[8,128]", 33990000000, 218938960000, 114881305, 136},
+      {"2-deep[256]", 63972000000, 248920960000, 377663181, 256},
+      {"3-deep[4,256]", 64678000000, 249626960000, 164925529, 260},
+      {"3-deep[8,256]", 65624000000, 250572960000, 133082841, 264},
+      {"3-deep[4,512]", 128003000000, 312951960000, 237731673, 516},
+      {"2-deep[512]", 127585000000, 312533960000, 668887757, 512},
+      {"3-deep[8,512]", 128901000000, 313849960000, 169485913, 520},
+      {"1-deep", 1886000000, 186834960000, 1167143096, 0},
+  };
+  for (const bool is_dense : {false, true}) {
+    std::vector<std::string_view> args = {
+        "--machine", "petascale", "--tasks", "65536", "--topology", "auto",
+        "--exec-threads", "3", "--seed", "2008"};
+    if (is_dense) args.insert(args.end(), {"--repr", "dense"});
+    const auto cli = stat::parse_cli(args);
+    ASSERT_TRUE(cli.is_ok()) << cli.status().to_string();
+    for (const auto& [slots, connections] :
+         {std::pair{32u, 1024u}, std::pair{31u, 956u}}) {
+      SCOPED_TRACE(std::string(is_dense ? "dense, " : "hier, ") +
+                   std::to_string(slots) + " slots/login, " +
+                   std::to_string(connections) + " connections");
+      machine::MachineConfig machine = cli.value().machine;
+      machine.max_comm_procs_per_login = slots;
+      machine.max_tool_connections = connections;
+      auto predictor = PhasePredictor::create(
+          machine, cli.value().job, cli.value().options,
+          machine::default_cost_model(machine));
+      ASSERT_TRUE(predictor.is_ok()) << predictor.status().to_string();
+      const auto ranked = search_topologies(predictor.value());
+      ASSERT_TRUE(ranked.is_ok()) << ranked.status().to_string();
+      // 1,024 daemons straight into the front end overflow its receive
+      // buffer with dense payloads, and exceed 956 connections either way:
+      // "1-deep" is then rejected with its prices unchanged, and no other
+      // prediction moves.
+      const bool flat_rejected = is_dense || connections < 1024;
+      std::vector<PinnedPrediction> viable;
+      std::vector<PinnedPrediction> rejected;
+      for (const PinnedPrediction& entry : is_dense ? dense : hier) {
+        const bool flat = std::string_view(entry.spec) == "1-deep";
+        (flat && flat_rejected ? rejected : viable).push_back(entry);
+      }
+      const SimTime remap = is_dense ? 0 : 203161600;
+      expect_pinned(ranked.value().viable, viable, remap);
+      expect_pinned(ranked.value().rejected, rejected, remap);
+      for (const RankedTopology& entry : ranked.value().rejected) {
+        EXPECT_EQ(entry.prediction.viability.code(),
+                  StatusCode::kResourceExhausted);
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------------------------
