@@ -202,7 +202,7 @@ class PhasePredictor {
   /// run* — a SessionCheckpoint's recorded leaf bytes — instead of the probe
   /// synthesis: every byte curve in both profiles is scaled by
   /// measured / probed. This is the checkpoint/restart re-planning hook
-  /// (plan::replan_fe_shards): the restored session re-prices K and
+  /// (plan::resolve on a restore): the restored session re-prices K and
   /// placement against what the interrupted run actually moved. Node counts
   /// and symbol I/O stay as probed; non-positive inputs are ignored.
   void scale_payload_profile(double measured_leaf_bytes) {

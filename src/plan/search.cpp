@@ -5,6 +5,8 @@
 #include <set>
 #include <utility>
 
+#include "stat/checkpoint.hpp"
+
 namespace petastat::plan {
 
 namespace {
@@ -14,8 +16,8 @@ namespace {
 /// with spread on login tiers, so the trio covers the space without
 /// duplicate candidates; route sees the switch graph and can differ from
 /// both on oversubscribed fabrics). Comm-like alone when unsharded. One
-/// definition for enumerate_specs and choose_fe_shards, so the two auto
-/// paths can never search different placement spaces.
+/// definition for enumerate_specs and the K sweep of `--fe-shards auto`, so
+/// the two auto paths can never search different placement spaces.
 std::vector<tbon::ReducerPlacement> placements_for(std::uint32_t shards) {
   if (shards > 1) {
     return {tbon::ReducerPlacement::kPack, tbon::ReducerPlacement::kSpread,
@@ -126,19 +128,9 @@ Result<TopologySearchResult> search_topologies(
   return result;
 }
 
-Result<tbon::TopologySpec> choose_topology(
-    const machine::MachineConfig& machine, const machine::JobConfig& job,
-    const stat::StatOptions& options, const machine::CostModel& costs) {
-  auto predictor = PhasePredictor::create(machine, job, options, costs);
-  if (!predictor.is_ok()) return predictor.status();
-  auto ranked = search_topologies(predictor.value());
-  if (!ranked.is_ok()) return ranked.status();
-  return ranked.value().best().spec;
-}
-
 namespace {
 
-/// The K × placement sweep shared by choose_fe_shards and replan_fe_shards:
+/// The K × placement sweep of `--fe-shards auto` and of the restore re-plan:
 /// one loop, so the cold path and the restore path can never rank different
 /// shard spaces.
 Result<tbon::TopologySpec> best_fe_shard_spec(
@@ -170,22 +162,42 @@ Result<tbon::TopologySpec> best_fe_shard_spec(
 
 }  // namespace
 
-Result<tbon::TopologySpec> choose_fe_shards(
-    const machine::MachineConfig& machine, const machine::JobConfig& job,
-    const stat::StatOptions& options, const machine::CostModel& costs) {
-  auto predictor = PhasePredictor::create(machine, job, options, costs);
-  if (!predictor.is_ok()) return predictor.status();
-  return best_fe_shard_spec(predictor.value(), machine, options);
-}
+Result<tbon::TopologySpec> resolve(const machine::MachineConfig& machine,
+                                   const machine::JobConfig& job,
+                                   const stat::StatOptions& options,
+                                   const machine::CostModel& costs,
+                                   const stat::SessionCheckpoint* restore) {
+  const bool auto_mode = options.topology_auto || options.fe_shards_auto;
+  if (!auto_mode) {
+    // The CLI-level knobs land on the spec; a spec already sharded/placed by
+    // a direct API caller (or restored from a checkpoint) keeps its own
+    // values where a knob is left at its default.
+    tbon::TopologySpec spec =
+        restore != nullptr ? restore->spec : options.topology;
+    if (options.fe_shards != 1) spec.fe_shards = options.fe_shards;
+    if (options.reducer_placement != tbon::ReducerPlacement::kCommLike) {
+      spec.reducer_placement = options.reducer_placement;
+    }
+    return spec;
+  }
 
-Result<tbon::TopologySpec> replan_fe_shards(
-    const machine::MachineConfig& machine, const machine::JobConfig& job,
-    const stat::StatOptions& options, const machine::CostModel& costs,
-    double measured_leaf_payload_bytes) {
-  auto predictor = PhasePredictor::create(machine, job, options, costs);
+  stat::StatOptions planned = options;
+  if (restore != nullptr) planned.topology = restore->spec;
+  auto predictor = PhasePredictor::create(machine, job, planned, costs);
   if (!predictor.is_ok()) return predictor.status();
-  predictor.value().scale_payload_profile(measured_leaf_payload_bytes);
-  return best_fe_shard_spec(predictor.value(), machine, options);
+  if (restore != nullptr) {
+    // Re-anchor the payload curves to what the interrupted run measured, so
+    // K and placement are re-priced against real traffic instead of the
+    // probe synthesis (a non-positive measurement leaves them as probed).
+    predictor.value().scale_payload_profile(
+        static_cast<double>(restore->leaf_payload_bytes));
+  } else if (options.topology_auto) {
+    // The search sweeps the shard dimension itself under `fe_shards_auto`.
+    auto ranked = search_topologies(predictor.value());
+    if (!ranked.is_ok()) return ranked.status();
+    return ranked.value().best().spec;
+  }
+  return best_fe_shard_spec(predictor.value(), machine, planned);
 }
 
 }  // namespace petastat::plan

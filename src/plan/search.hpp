@@ -47,29 +47,22 @@ struct TopologySearchResult {
 [[nodiscard]] Result<TopologySearchResult> search_topologies(
     const PhasePredictor& predictor);
 
-/// One-call convenience for the `--topology auto` path: profile the
-/// workload, rank the space, return the winner.
-[[nodiscard]] Result<tbon::TopologySpec> choose_topology(
-    const machine::MachineConfig& machine, const machine::JobConfig& job,
-    const stat::StatOptions& options, const machine::CostModel& costs);
-
-/// The `--fe-shards auto` path for a pinned topology: price
-/// `options.topology` at K in {1, 2, 4, 8, 16, 32, 64} × {pack, spread}
-/// (K > 8 through the reducer tree) and return the spec with the
-/// predicted-fastest viable (K, placement). Fails when no K is viable.
-[[nodiscard]] Result<tbon::TopologySpec> choose_fe_shards(
-    const machine::MachineConfig& machine, const machine::JobConfig& job,
-    const stat::StatOptions& options, const machine::CostModel& costs);
-
-/// The checkpoint/restart re-planning hook: choose_fe_shards, but with the
-/// predictor's payload curves re-anchored to `measured_leaf_payload_bytes` —
-/// the per-daemon payload size a SessionCheckpoint recorded from the
-/// interrupted run — so the resumed session re-prices K and placement
-/// against measured traffic instead of the probe synthesis. A non-positive
-/// measurement degrades to plain choose_fe_shards.
-[[nodiscard]] Result<tbon::TopologySpec> replan_fe_shards(
+/// Which spec a run uses: the one entry point for `--topology auto`,
+/// `--fe-shards auto` and the restore re-plan. `machine` is the machine the
+/// run builds on, with any per-run connection override already folded in.
+///  * restore with an auto mode: adopt `restore->spec`, then re-price K and
+///    placement against the measured `leaf_payload_bytes` the checkpoint
+///    recorded (a resumed session may legally re-shard);
+///  * `topology_auto`: the best-ranked spec of the search (which sweeps K
+///    itself under `fe_shards_auto`, and pins it otherwise);
+///  * `fe_shards_auto`: `options.topology` at the predicted-fastest viable
+///    (K, placement), K in {1, 2, 4, 8, 16, 32, 64};
+///  * pinned: `options.topology` (the checkpoint's spec on a restore) with
+///    the CLI-level `fe_shards` and `reducer_placement` folded in.
+/// Fails when no candidate is viable.
+[[nodiscard]] Result<tbon::TopologySpec> resolve(
     const machine::MachineConfig& machine, const machine::JobConfig& job,
     const stat::StatOptions& options, const machine::CostModel& costs,
-    double measured_leaf_payload_bytes);
+    const stat::SessionCheckpoint* restore = nullptr);
 
 }  // namespace petastat::plan

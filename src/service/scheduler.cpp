@@ -81,7 +81,6 @@ SessionScheduler::Plan& SessionScheduler::resolve(Session& session,
   // session plans against the residual — an "effective machine" whose
   // login-slot and connection ceilings are the view's free capacity.
   machine::MachineConfig effective = config_.machine;
-  std::string key = "pinned";
   if (!session.pinned) {
     if (!effective.comm_procs_on_compute_allocation &&
         effective.login_nodes > 0) {
@@ -90,9 +89,18 @@ SessionScheduler::Plan& SessionScheduler::resolve(Session& session,
     }
     effective.max_tool_connections = std::min<std::uint32_t>(
         effective.max_tool_connections, view.free().fe_connections);
-    key = "auto|" + std::to_string(effective.max_comm_procs_per_login) +
-          "|" + std::to_string(effective.max_tool_connections);
   }
+  // The run folds its connection override into the machine it builds on,
+  // where it also clamps the reducer-tree fan-in: plan and price the
+  // demand on that machine too.
+  if (const auto& cap = session.request.options.max_frontend_connections) {
+    effective.max_tool_connections = *cap;
+  }
+  std::string key =
+      session.pinned
+          ? "pinned"
+          : "auto|" + std::to_string(effective.max_comm_procs_per_login) +
+                "|" + std::to_string(effective.max_tool_connections);
   if (session.checkpoint != nullptr) {
     // A restored leg is a different run (it resumes mid-series, possibly
     // re-planned), so it must never reuse a pre-vacate plan or result.
@@ -120,64 +128,19 @@ SessionScheduler::Resolution SessionScheduler::build_resolution(
     return res;
   }
 
-  // Mirror StatScenario's construction-time spec resolution exactly, so the
-  // demand priced here is the topology the admitted run builds.
-  tbon::TopologySpec spec = options.topology;
-  if (options.fe_shards == 0 && !options.fe_shards_auto) {
-    res.status =
-        invalid_argument("fe_shards must be >= 1 (1 = unsharded front end)");
+  auto spec = plan::resolve(res.machine, job, options,
+                            machine::default_cost_model(res.machine),
+                            session.checkpoint.get());
+  if (!spec.is_ok()) {
+    res.status = spec.status();
     return res;
   }
-  const machine::CostModel costs = machine::default_cost_model(res.machine);
-  if (session.checkpoint != nullptr) {
-    // Mirror the restore-constructor's resolution: adopt the checkpointed
-    // spec, then let the auto modes re-price K/placement against the
-    // *measured* per-leaf payload bytes the checkpoint recorded.
-    spec = session.checkpoint->spec;
-    if (options.topology_auto || options.fe_shards_auto) {
-      stat::StatOptions replan_options = options;
-      replan_options.topology = spec;
-      auto chosen = plan::replan_fe_shards(
-          res.machine, job, replan_options, costs,
-          static_cast<double>(session.checkpoint->leaf_payload_bytes));
-      if (!chosen.is_ok()) {
-        res.status = chosen.status();
-        return res;
-      }
-      spec = std::move(chosen).value();
-    } else {
-      if (options.fe_shards != 1) spec.fe_shards = options.fe_shards;
-      if (options.reducer_placement != tbon::ReducerPlacement::kCommLike) {
-        spec.reducer_placement = options.reducer_placement;
-      }
-    }
-  } else if (options.topology_auto) {
-    auto chosen = plan::choose_topology(res.machine, job, options, costs);
-    if (!chosen.is_ok()) {
-      res.status = chosen.status();
-      return res;
-    }
-    spec = std::move(chosen).value();
-  } else if (options.fe_shards_auto) {
-    auto chosen = plan::choose_fe_shards(res.machine, job, options, costs);
-    if (!chosen.is_ok()) {
-      res.status = chosen.status();
-      return res;
-    }
-    spec = std::move(chosen).value();
-  } else {
-    if (options.fe_shards != 1) spec.fe_shards = options.fe_shards;
-    if (options.reducer_placement != tbon::ReducerPlacement::kCommLike) {
-      spec.reducer_placement = options.reducer_placement;
-    }
-  }
-
-  auto topo = tbon::build_topology(res.machine, layout.value(), spec);
+  auto topo = tbon::build_topology(res.machine, layout.value(), spec.value());
   if (!topo.is_ok()) {
     res.status = topo.status();
     return res;
   }
-  res.spec = spec;
+  res.spec = std::move(spec).value();
   res.demand.comm_slots = topo.value().num_comm_procs();
   res.demand.fe_connections =
       static_cast<std::uint32_t>(topo.value().front_end().children.size());
@@ -193,7 +156,7 @@ const stat::StatRunResult& SessionScheduler::evaluate(const Session& session,
   if (!plan.result) {
     stat::StatScenario scenario(plan.resolution.machine, session.request.job,
                                 session.request.options, &exec_,
-                                session.checkpoint);
+                                session.checkpoint, plan.resolution.spec);
     plan.result = scenario.run();
   }
   return *plan.result;

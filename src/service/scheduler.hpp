@@ -18,10 +18,11 @@
 //
 // Residual-aware planning: an auto-topology session is resolved against an
 // "effective machine" whose login-slot and connection ceilings are the
-// ledger's *free* capacity, so the planner (plan::choose_topology /
-// choose_fe_shards, via plan::PhasePredictor) picks smaller shard counts and
-// narrower trees when login nodes are contended, instead of waiting for the
-// whole machine.
+// ledger's *free* capacity, so the planner (plan::resolve, via
+// plan::PhasePredictor) picks smaller shard counts and narrower trees when
+// login nodes are contended, instead of waiting for the whole machine. The
+// resolved spec is handed to the admitted session's StatScenario, so the run
+// is the tree its demand was priced on, and it never plans again.
 #pragma once
 
 #include <cstdint>
@@ -118,8 +119,9 @@ class SessionScheduler {
     Status status = Status::ok();
     tbon::TopologySpec spec;
     SessionDemand demand;
-    /// The machine the admitted scenario must be constructed with so its
-    /// internal auto resolution reproduces `spec`.
+    /// The machine the admitted scenario is constructed with: the run's
+    /// placement and connection checks use the residual `spec` was planned
+    /// against.
     machine::MachineConfig machine;
   };
 

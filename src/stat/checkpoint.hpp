@@ -6,10 +6,10 @@
 // and the absolute SampleRequest cursor. Serialized through the versioned
 // wire format (docs/WIRE_FORMAT.md), it survives a front-end loss: a restored
 // StatScenario re-arms the multicast cursor mid-series instead of re-sampling
-// the whole job, and may legally re-shard first (plan::replan_fe_shards
-// re-prices K and placement against the measured payload bytes recorded
-// here) — the canonical merge keeps the final products bit-identical to the
-// never-killed run either way.
+// the whole job, and may legally re-shard first (plan::resolve re-prices K
+// and placement against the measured payload bytes recorded here) — the
+// canonical merge keeps the final products bit-identical to the never-killed
+// run either way.
 //
 // The prefix trees are stored as *nested wire blobs*, not decoded trees: a
 // tree's FrameIds are only meaningful against the FrameTable that interned
@@ -72,7 +72,7 @@ struct SessionCheckpoint {
 
   // --- measured payloads (the re-planning hook's input) ----------------------
   /// One daemon's serialized stream snapshot, measured at sampling time —
-  /// what plan::replan_fe_shards scales the predictor's payload curves by.
+  /// what plan::resolve scales the predictor's payload curves by on a restore.
   std::uint64_t leaf_payload_bytes = 0;
   /// Estimated per-shard inbound payload bytes at the boundary (leaf bytes
   /// scaled by each shard's task share; one entry = the unsharded front end).

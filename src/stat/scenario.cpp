@@ -167,7 +167,8 @@ fs::NfsParams shared_nfs_params(const machine::MachineConfig& machine) {
 StatScenario::StatScenario(machine::MachineConfig machine,
                            machine::JobConfig job, StatOptions options,
                            sim::Executor* executor,
-                           std::shared_ptr<const SessionCheckpoint> restore)
+                           std::shared_ptr<const SessionCheckpoint> restore,
+                           std::optional<tbon::TopologySpec> resolved)
     : machine_(std::move(machine)),
       job_(job),
       options_(std::move(options)),
@@ -261,45 +262,21 @@ StatScenario::StatScenario(machine::MachineConfig machine,
     machine_.max_tool_connections = *options_.max_frontend_connections;
   }
 
-  // Resolve `--topology auto` / `--fe-shards auto` up front so the run-seed
-  // salting below (and everything seeded from it) sees the spec the run will
-  // actually use.
+  // Resolve `--topology auto` / `--fe-shards auto` / the restore re-plan up
+  // front (unless the caller already did) so the run-seed salting below (and
+  // everything seeded from it) sees the spec the run will actually use.
   if (config_status_.is_ok()) {
-    // A restore adopts the interrupted run's resolved spec — then the auto
-    // modes re-price K and placement against the *measured* payload bytes
-    // the checkpoint recorded (the cheap re-planning hook: a resumed session
-    // may legally re-shard), and an explicit CLI re-shard folds in as usual.
-    if (restore_ != nullptr) options_.topology = restore_->spec;
-    std::optional<Result<tbon::TopologySpec>> chosen;
-    if (restore_ != nullptr &&
-        (options_.topology_auto || options_.fe_shards_auto)) {
-      chosen = plan::replan_fe_shards(
-          machine_, job_, options_, costs_,
-          static_cast<double>(restore_->leaf_payload_bytes));
-    } else if (options_.topology_auto) {
-      // The search enumerates the shard dimension itself (K in {1,2,4,8}
-      // under `--fe-shards auto`, the pinned K otherwise).
-      chosen = plan::choose_topology(machine_, job_, options_, costs_);
-    } else if (options_.fe_shards_auto) {
-      chosen = plan::choose_fe_shards(machine_, job_, options_, costs_);
+    Result<tbon::TopologySpec> spec =
+        resolved ? Result<tbon::TopologySpec>(std::move(*resolved))
+                 : plan::resolve(machine_, job_, options_, costs_,
+                                 restore_.get());
+    if (spec.is_ok()) {
+      options_.topology = std::move(spec).value();
     } else {
-      // The CLI-level knobs land on the spec; a spec already sharded/placed
-      // by a direct API caller is left alone.
-      if (options_.fe_shards != 1) {
-        options_.topology.fe_shards = options_.fe_shards;
-      }
-      if (options_.reducer_placement != tbon::ReducerPlacement::kCommLike) {
-        options_.topology.reducer_placement = options_.reducer_placement;
-      }
-    }
-    if (chosen.has_value() && chosen->is_ok()) {
-      options_.topology = std::move(*chosen).value();
-    } else if (chosen.has_value()) {
-      config_status_ = chosen->status();
+      config_status_ = spec.status();
     }
     // Reject a restored spec the machine cannot build (a K incompatible
-    // with this layout) at construction, where the scheduler screens
-    // sessions.
+    // with this layout) at construction, before any simulated work.
     if (config_status_.is_ok() && restore_ != nullptr) {
       auto topo = tbon::build_topology(machine_, layout_, options_.topology);
       if (!topo.is_ok()) config_status_ = topo.status();

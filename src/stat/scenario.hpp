@@ -80,7 +80,7 @@ struct StatOptions {
   /// to whatever topology the run uses, including an auto-chosen one).
   /// 1 = unsharded; 0 is INVALID_ARGUMENT.
   std::uint32_t fe_shards = 1;
-  /// Ignore `fe_shards` and let plan::choose_fe_shards pick the
+  /// Ignore `fe_shards` and let plan::resolve pick the
   /// predicted-fastest viable (K, placement) with K in {1, 2, 4, 8, 16, 32,
   /// 64} (the CLI's `--fe-shards auto`; K > 8 engages the reducer tree).
   /// With `--topology auto` the shard dimension joins the spec search
@@ -299,15 +299,21 @@ class StatScenario {
   /// config_status(). A cursor outside [1, total_rounds) is INVALID_ARGUMENT,
   /// and a topology the machine cannot build (an incompatible K) fails here
   /// too. The topology is adopted from the checkpoint, unless the auto modes
-  /// are set — then plan::replan_fe_shards re-prices K/placement against the
-  /// measured payload bytes — or the CLI re-shards explicitly. run() then
-  /// skips launch/SBRS (daemons persist across a front-end loss), re-arms the
+  /// are set — then plan::resolve re-prices K/placement against the measured
+  /// payload bytes — or the CLI re-shards explicitly. run() then skips
+  /// launch/SBRS (daemons persist across a front-end loss), re-arms the
   /// multicast cursor at restore->cursor, and merges the resumed rounds into
   /// the checkpointed trees; the canonical merge keeps the products
   /// bit-identical to the never-killed run.
+  ///
+  /// `resolved` (optional): the spec plan::resolve already chose for exactly
+  /// this (machine, job, options, restore), as the service scheduler does
+  /// when it prices a session's demand. The run uses it as is instead of
+  /// planning again; without it the constructor calls plan::resolve.
   StatScenario(machine::MachineConfig machine, machine::JobConfig job,
                StatOptions options, sim::Executor* executor = nullptr,
-               std::shared_ptr<const SessionCheckpoint> restore = nullptr);
+               std::shared_ptr<const SessionCheckpoint> restore = nullptr,
+               std::optional<tbon::TopologySpec> resolved = std::nullopt);
   ~StatScenario();
 
   StatScenario(const StatScenario&) = delete;
@@ -319,19 +325,14 @@ class StatScenario {
   /// FAILED_PRECONDITION (construct a fresh scenario per run).
   [[nodiscard]] StatRunResult run();
 
-  /// Tuning knobs, to be adjusted before run().
-  [[nodiscard]] machine::CostModel& costs() { return costs_; }
-  [[nodiscard]] const machine::MachineConfig& machine() const { return machine_; }
   [[nodiscard]] const app::AppModel& app() const { return *app_; }
-  [[nodiscard]] const machine::DaemonLayout& layout() const { return layout_; }
 
   /// Construction-time validation/auto-resolution outcome, readable without
-  /// running. The service scheduler rejects sessions here before admitting.
+  /// running.
   [[nodiscard]] const Status& config_status() const { return config_status_; }
   /// The options after construction resolved `--topology auto` /
   /// `--fe-shards auto`: `resolved_options().topology` is the spec the run
-  /// will use, which is what the service ledger prices a session's demand
-  /// from. Meaningless when config_status() is not OK.
+  /// will use. Meaningless when config_status() is not OK.
   [[nodiscard]] const StatOptions& resolved_options() const { return options_; }
 
  private:

@@ -407,7 +407,8 @@ SessionRequest auto_session(const std::string& name, double arrival,
 TEST(SessionScheduler, PlansOncePerEffectiveMachine) {
   // Every head check, shadow-walk step and candidate scan asks for a queued
   // session's plan; the planner runs once per distinct (session, effective
-  // machine) pair, and once more in each admitted auto session's scenario.
+  // machine) pair. The admitted scenario runs the spec it was handed and
+  // never plans again.
   {
     // Three auto sessions need both executor threads, so they queue behind
     // "long" through every pass the later arrivals trigger. The connection
@@ -436,14 +437,14 @@ TEST(SessionScheduler, PlansOncePerEffectiveMachine) {
     const ServiceReport report = scheduler.run();
     ASSERT_EQ(report.completed, 7u);
     EXPECT_GT(stats_for(report, "auto-2").queue_wait, 0u);
-    EXPECT_EQ(predictor_creates() - before, 3u + 3u);
+    EXPECT_EQ(predictor_creates() - before, 3u);
   }
   {
     // "wide" needs both threads while "blocker" holds one thread and 16 of
     // the 20 connections. It is planned on two effective machines — the
     // idle one at arrival (20 connections, which the shadow walk and the
     // final admission ask for again) and the residual one (4 connections)
-    // at the blocked head check — plus once by its admitted scenario.
+    // at the blocked head check.
     ServiceConfig config;
     config.machine = machine::atlas();
     config.executor_threads = 2;
@@ -458,7 +459,7 @@ TEST(SessionScheduler, PlansOncePerEffectiveMachine) {
     ASSERT_EQ(report.completed, 2u);
     EXPECT_EQ(stats_for(report, "wide").start,
               stats_for(report, "blocker").completion);
-    EXPECT_EQ(predictor_creates() - before, 2u + 1u);
+    EXPECT_EQ(predictor_creates() - before, 2u);
   }
 }
 
@@ -484,16 +485,42 @@ TEST(SessionScheduler, VacatedAutoSessionReplansItsRestoredLeg) {
   EXPECT_TRUE(stats.result.restored);
   EXPECT_FALSE(stats.result.vacated);
   EXPECT_EQ(stats.result.restore_cursor, 2u);
-  // Planned afresh after the vacate (the "|r1" key): the first leg's plan
-  // and its scenario, then the restored leg's plan and its scenario. A
-  // restored leg served from the pre-vacate memo would plan 2 times.
-  EXPECT_EQ(predictor_creates() - before, 4u);
+  // Planned afresh after the vacate (the "|r1" key): the first leg's plan,
+  // then the restored leg's re-plan; neither leg's scenario plans again. A
+  // restored leg served from the pre-vacate memo would plan once.
+  EXPECT_EQ(predictor_creates() - before, 2u);
 
   SessionRequest uninterrupted = request;
   uninterrupted.options.vacate_at_round = -1;
   stat::StatScenario solo(machine::atlas(), uninterrupted.job,
                           uninterrupted.options);
   EXPECT_EQ(class_signature(stats.result), class_signature(solo.run()));
+}
+
+TEST(SessionScheduler, DemandIsTheTreeTheSessionRuns) {
+  // The connection override clamps the reducer-tree fan-in, so the ledger
+  // must price the tree on the machine the run folds it into: 16 reducers
+  // under 4 front-end children, not under 2.
+  SessionRequest request = small_session("sharded", 0.0);
+  request.job.num_tasks = 512;
+  request.options.fe_shards = 16;
+  request.options.max_frontend_connections = 4;
+  ServiceConfig config;
+  config.machine = machine::atlas();
+  SessionScheduler scheduler(config);
+  ASSERT_TRUE(scheduler.submit(request).is_ok());
+  const ServiceReport report = scheduler.run();
+  ASSERT_EQ(report.completed, 1u);
+
+  const SessionStats& stats = stats_for(report, "sharded");
+  EXPECT_EQ(stats.demand.comm_slots, stats.result.num_comm_procs);
+  machine::MachineConfig run_machine = machine::atlas();
+  run_machine.max_tool_connections = 4;
+  auto topo = tbon::build_topology(run_machine, stats.result.layout,
+                                   stats.result.topology);
+  ASSERT_TRUE(topo.is_ok()) << topo.status().to_string();
+  EXPECT_EQ(stats.demand.fe_connections,
+            topo.value().front_end().children.size());
 }
 
 // --- Trace parsing ---------------------------------------------------------

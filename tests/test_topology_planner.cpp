@@ -192,13 +192,125 @@ TEST(PhasePredictor, ShardedSpecRelievesTheConnectionLimit) {
 TEST(ChooseFeShards, PicksAViableKForTheSecVAConfig) {
   stat::StatOptions options = dense_options(stat::LauncherKind::kCiodPatched);
   options.topology = tbon::TopologySpec::flat();
+  options.fe_shards_auto = true;
   machine::JobConfig job;
   job.num_tasks = 16384;
-  auto chosen = choose_fe_shards(machine::bgl(), job, options,
-                                 machine::default_cost_model(machine::bgl()));
+  auto chosen = resolve(machine::bgl(), job, options,
+                        machine::default_cost_model(machine::bgl()));
   ASSERT_TRUE(chosen.is_ok()) << chosen.status().to_string();
   EXPECT_GE(chosen.value().fe_shards, 2u);
   EXPECT_EQ(chosen.value().depth, 1u);  // still the flat spec, sharded
+}
+
+// --------------------------------------------------------------------------
+// plan::resolve: each branch reproduces the spec StatScenario resolved when
+// the scenario and the service scheduler each kept their own copy of the
+// decision (values recorded on that tree).
+
+struct PinnedSpec {
+  std::string name;
+  std::uint32_t fe_shards;
+  tbon::ReducerPlacement placement;
+  std::vector<std::uint32_t> level_widths;
+};
+
+void expect_pinned(const tbon::TopologySpec& spec, const PinnedSpec& pin,
+                   const std::string& what) {
+  EXPECT_EQ(spec.name(), pin.name) << what;
+  EXPECT_EQ(spec.fe_shards, pin.fe_shards) << what;
+  EXPECT_EQ(spec.reducer_placement, pin.placement) << what;
+  EXPECT_EQ(spec.level_widths, pin.level_widths) << what;
+}
+
+TEST(Resolve, EveryBranchReproducesThePinnedSpec) {
+  const machine::JobConfig atlas_job{.num_tasks = 512};
+  const machine::JobConfig bgl_job{.num_tasks = 16384};
+  stat::StatOptions stream;
+  stream.stream_samples = 4;
+  stream.evolution = app::TraceEvolution::kDrift;
+
+  // The interrupted session every restore case resumes: a flat, unsharded
+  // atlas run vacated at round boundary 2.
+  stat::StatOptions vacating = stream;
+  vacating.vacate_at_round = 2;
+  stat::StatScenario first(machine::atlas(), atlas_job, vacating);
+  const stat::StatRunResult interrupted = first.run();
+  ASSERT_TRUE(interrupted.vacated) << interrupted.status.to_string();
+  ASSERT_NE(interrupted.checkpoint, nullptr);
+
+  struct Case {
+    std::string what;
+    machine::MachineConfig machine;
+    machine::JobConfig job;
+    stat::StatOptions options;
+    bool restore;
+    PinnedSpec pin;
+  };
+  std::vector<Case> cases;
+  {
+    stat::StatOptions o;
+    o.topology = tbon::TopologySpec::balanced(2);
+    o.fe_shards = 4;
+    o.reducer_placement = tbon::ReducerPlacement::kPack;
+    cases.push_back({"cold, pinned, fe_shards 4 + pack", machine::atlas(),
+                     atlas_job, o, false,
+                     {"2-deep x4shard/pack", 4, tbon::ReducerPlacement::kPack,
+                      {}}});
+  }
+  {
+    stat::StatOptions o;
+    o.topology_auto = true;
+    cases.push_back({"cold, topology_auto", machine::bgl(), bgl_job, o, false,
+                     {"2-deep[2]", 1, tbon::ReducerPlacement::kCommLike, {2}}});
+  }
+  {
+    stat::StatOptions o;
+    o.fe_shards_auto = true;
+    cases.push_back({"cold, fe_shards_auto", machine::bgl(), bgl_job, o, false,
+                     {"1-deep x8shard/pack", 8, tbon::ReducerPlacement::kPack,
+                      {}}});
+  }
+  {
+    stat::StatOptions o = stream;
+    o.fe_shards = 2;
+    o.reducer_placement = tbon::ReducerPlacement::kSpread;
+    cases.push_back({"restore, pinned, explicit re-shard", machine::atlas(),
+                     atlas_job, o, true,
+                     {"1-deep x2shard/spread", 2,
+                      tbon::ReducerPlacement::kSpread, {}}});
+  }
+  {
+    stat::StatOptions o = stream;
+    o.fe_shards_auto = true;
+    cases.push_back({"restore, fe_shards_auto", machine::atlas(), atlas_job, o,
+                     true,
+                     {"1-deep", 1, tbon::ReducerPlacement::kCommLike, {}}});
+    o.max_frontend_connections = 8;
+    cases.push_back({"restore, fe_shards_auto, 8 connections",
+                     machine::atlas(), atlas_job, o, true,
+                     {"1-deep x8shard/pack", 8, tbon::ReducerPlacement::kPack,
+                      {}}});
+  }
+
+  for (const Case& c : cases) {
+    const auto restore = c.restore ? interrupted.checkpoint : nullptr;
+    stat::StatScenario scenario(c.machine, c.job, c.options, nullptr, restore);
+    ASSERT_TRUE(scenario.config_status().is_ok())
+        << c.what << ": " << scenario.config_status().to_string();
+    expect_pinned(scenario.resolved_options().topology, c.pin, c.what);
+
+    // resolve() takes the run's machine: the connection override folded in.
+    machine::MachineConfig run_machine = c.machine;
+    if (c.options.max_frontend_connections) {
+      run_machine.max_tool_connections = *c.options.max_frontend_connections;
+    }
+    auto resolved = resolve(run_machine, c.job, c.options,
+                            machine::default_cost_model(c.machine),
+                            restore.get());
+    ASSERT_TRUE(resolved.is_ok())
+        << c.what << ": " << resolved.status().to_string();
+    expect_pinned(resolved.value(), c.pin, c.what);
+  }
 }
 
 TEST(TopologySearch, ShardDimensionJoinsTheSpaceUnderAuto) {
@@ -766,10 +878,11 @@ TEST(AutoTopology, NeverViolatesPlacementLimitsAcrossMatrixCells) {
     stat::StatOptions options;
     options.repr = cell.repr;
     options.launcher = cell.launcher;
+    options.topology_auto = true;
     const auto layout = machine::layout_daemons(cell.machine, job).value();
 
-    auto chosen = choose_topology(cell.machine, job, options,
-                                  machine::default_cost_model(cell.machine));
+    auto chosen = resolve(cell.machine, job, options,
+                          machine::default_cost_model(cell.machine));
     ASSERT_TRUE(chosen.is_ok())
         << cell.machine.name << " " << cell.tasks << ": "
         << chosen.status().to_string();
