@@ -15,8 +15,11 @@ using namespace petastat::bench;
 
 namespace {
 
-double run_depth(std::uint32_t depth, stat::TaskSetRepr repr,
-                 std::vector<std::uint32_t> widths = {}) {
+/// Runs the 212,992-task BG/L job on a `depth`-deep tree and records its
+/// merge + remap seconds in `series` at `x` (a failed run records -1 with the
+/// status code).
+void run_depth(Series& series, double x, std::uint32_t depth,
+               stat::TaskSetRepr repr, std::vector<std::uint32_t> widths = {}) {
   stat::StatOptions options;
   if (widths.empty()) {
     options.topology = depth == 1 ? tbon::TopologySpec::flat()
@@ -29,8 +32,11 @@ double run_depth(std::uint32_t depth, stat::TaskSetRepr repr,
   options.launcher = stat::LauncherKind::kCiodPatched;
   auto result = run_scenario(machine::bgl(), 212992,
                              machine::BglMode::kVirtualNode, options);
-  if (!result.status.is_ok()) return -1.0;
-  return to_seconds(result.phases.merge_time + result.phases.remap_time);
+  if (!result.status.is_ok()) {
+    series.add(x, -1.0, status_code_name(result.status.code()));
+    return;
+  }
+  series.add(x, to_seconds(result.phases.merge_time + result.phases.remap_time));
 }
 
 }  // namespace
@@ -38,35 +44,22 @@ double run_depth(std::uint32_t depth, stat::TaskSetRepr repr,
 int main(int argc, char** argv) {
   title("Ablation", "TBON depth & comm-process budget at 212,992 tasks (BG/L VN)");
 
-  std::printf("\n  depth sweep (paper rules):\n");
-  std::printf("  %-22s %14s %14s\n", "topology", "dense(s)", "hier(s)");
   Series dense_depth("dense");
   Series hier_depth("hier");
   for (std::uint32_t depth = 1; depth <= 3; ++depth) {
-    const double dense = run_depth(depth, stat::TaskSetRepr::kDenseGlobal);
-    const double hier = run_depth(depth, stat::TaskSetRepr::kHierarchical);
-    dense_depth.add(depth, dense);
-    hier_depth.add(depth, hier);
-    char dense_buf[32], hier_buf[32];
-    std::snprintf(dense_buf, sizeof dense_buf, dense < 0 ? "FAIL" : "%.3f", dense);
-    std::snprintf(hier_buf, sizeof hier_buf, hier < 0 ? "FAIL" : "%.3f", hier);
-    std::printf("  %-22s %14s %14s\n",
-                (std::to_string(depth) + "-deep").c_str(), dense_buf, hier_buf);
+    run_depth(dense_depth, depth, depth, stat::TaskSetRepr::kDenseGlobal);
+    run_depth(hier_depth, depth, depth, stat::TaskSetRepr::kHierarchical);
   }
+  print_table("depth", {dense_depth, hier_depth});
 
-  std::printf("\n  2-deep comm-process budget sweep (login tier holds <= 336):\n");
-  std::printf("  %-22s %14s %14s\n", "comm procs", "dense(s)", "hier(s)");
+  // 2-deep comm-process budget sweep (the login tier holds <= 336).
   Series dense_width("dense");
   Series hier_width("hier");
   for (const std::uint32_t width : {7u, 14u, 28u, 56u, 112u, 224u}) {
-    const double dense =
-        run_depth(2, stat::TaskSetRepr::kDenseGlobal, {width});
-    const double hier =
-        run_depth(2, stat::TaskSetRepr::kHierarchical, {width});
-    dense_width.add(width, dense);
-    hier_width.add(width, hier);
-    std::printf("  %-22u %14.3f %14.3f\n", width, dense, hier);
+    run_depth(dense_width, width, 2, stat::TaskSetRepr::kDenseGlobal, {width});
+    run_depth(hier_width, width, 2, stat::TaskSetRepr::kHierarchical, {width});
   }
+  print_table("comm procs", {dense_width, hier_width});
 
   const auto spread = [](const Series& s) {
     const Series ok = s.successes();

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/file_io.hpp"
 #include "common/stats.hpp"
 #include "common/strings.hpp"
 #include "common/types.hpp"
@@ -237,15 +238,9 @@ inline int finish(int argc, char** argv) {
     }
   }
   if (path.empty()) return 0;
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-    return 3;
-  }
-  const std::string json = to_json(record());
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  if (std::fclose(f) != 0 || !ok) {
-    std::fprintf(stderr, "error: short write to %s\n", path.c_str());
+  if (const Status written = write_file(path, to_json(record()));
+      !written.is_ok()) {
+    std::fprintf(stderr, "error: %s\n", written.to_string().c_str());
     return 3;
   }
   std::fprintf(stderr, "wrote %s\n", path.c_str());

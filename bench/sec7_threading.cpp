@@ -42,16 +42,11 @@ stat::StatRunResult run_threads(std::uint32_t tasks, std::uint32_t threads) {
 int main(int argc, char** argv) {
   title("Section VII", "Threading: threads multiply tool data like nodes do");
 
+  // 10,240 tasks, sweeping threads per task.
   Series sample("sampling");
   Series merge("merge+remap");
   Series payload("leaf-KB");
-
-  std::printf("\n  10,240 tasks, sweeping threads per task:\n");
-  std::printf("  %-10s %14s %14s %16s %12s\n", "threads", "sampling(s)",
-              "merge(s)", "leaf-payload", "classes");
-  std::vector<double> sample_times;
-  std::vector<double> merge_times;
-  std::vector<double> payload_bytes;
+  Series classes("classes");
   for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
     auto result = run_threads(10240, threads);
     if (!result.status.is_ok()) {
@@ -59,41 +54,44 @@ int main(int argc, char** argv) {
                   result.status.to_string().c_str());
       return 1;
     }
-    sample_times.push_back(to_seconds(result.phases.sample_time));
-    merge_times.push_back(
-        to_seconds(result.phases.merge_time + result.phases.remap_time));
-    payload_bytes.push_back(
-        static_cast<double>(result.phases.leaf_payload_bytes));
-    std::printf("  %-10u %14.3f %14.3f %13.1f KB %12zu\n", threads,
-                sample_times.back(), merge_times.back(),
-                payload_bytes.back() / 1024.0, result.classes.size());
+    sample.add(threads, to_seconds(result.phases.sample_time));
+    merge.add(threads,
+              to_seconds(result.phases.merge_time + result.phases.remap_time));
+    payload.add(threads,
+                static_cast<double>(result.phases.leaf_payload_bytes) / 1024.0);
+    classes.add(threads, static_cast<double>(result.classes.size()));
   }
+  print_table("threads", {sample, merge});
+  print_table("threads (size)", {payload, classes});
 
   // The equivalence projection: 10K nodes x 8 threads vs 80K nodes x 1.
   auto many_threads = run_threads(10240, 8);
   auto many_nodes = run_threads(81920, 1);
   const double traces_ratio =
       (10240.0 * 8.0) / (81920.0 * 1.0);
-  std::printf("\n  10,240 tasks x 8 threads vs 81,920 tasks x 1 thread:\n");
-  std::printf("    traces collected:     %8.0f vs %8.0f (ratio %.2f)\n",
-              10240.0 * 8 * 10.0, 81920.0 * 10.0, traces_ratio);
-  std::printf("    leaf payload bytes:   %8llu vs %8llu\n",
-              static_cast<unsigned long long>(many_threads.phases.leaf_payload_bytes),
-              static_cast<unsigned long long>(many_nodes.phases.leaf_payload_bytes));
-  std::printf("    sampling time:        %8.3f vs %8.3f s\n",
-              to_seconds(many_threads.phases.sample_time),
-              to_seconds(many_nodes.phases.sample_time));
+  Series projection_sampling("sampling");
+  Series projection_payload("leaf-KB");
+  const auto add_projection = [&](double tasks, const stat::StatRunResult& run) {
+    projection_sampling.add(tasks, to_seconds(run.phases.sample_time));
+    projection_payload.add(
+        tasks, static_cast<double>(run.phases.leaf_payload_bytes) / 1024.0);
+  };
+  add_projection(10240, many_threads);
+  add_projection(81920, many_nodes);
+  note("projection: 10,240 tasks x 8 threads vs 81,920 tasks x 1 thread, "
+       "each collecting " + std::to_string(81920 * 10) + " traces");
+  print_table("tasks", {projection_sampling, projection_payload});
 
   anchor("per-thread sampling slowdown (8 threads vs 1)", "~constant per thread",
-         std::to_string(sample_times.back() / sample_times.front()) +
+         std::to_string(sample.y.back() / sample.y.front()) +
              "x for 8x threads");
   shape_check("sampling slowdown is roughly linear in threads (parallel "
               "across nodes, serial within a daemon)",
-              sample_times.back() / sample_times.front() > 3.0 &&
-                  sample_times.back() / sample_times.front() < 10.0);
+              sample.y.back() / sample.y.front() > 3.0 &&
+                  sample.y.back() / sample.y.front() < 10.0);
   shape_check("merge slows far less than sampling (logarithmic network)",
-              merge_times.back() / merge_times.front() <
-                  0.5 * (sample_times.back() / sample_times.front()));
+              merge.y.back() / merge.y.front() <
+                  0.5 * (sample.y.back() / sample.y.front()));
   shape_check("classes stay process-keyed (no thread explosion in classes)",
               many_threads.classes.size() < 16);
   shape_check("8-thread run collects the same trace volume as the 8x-node run",

@@ -18,8 +18,6 @@ int main(int argc, char** argv) {
   Series hier("hier(+remap)");
   Series hier_bytes("hier-leaf-KB");
 
-  std::printf("\n  %-14s %14s %16s %14s %16s\n", "virtual-tasks", "dense(s)",
-              "dense-leaf", "hier+remap(s)", "hier-leaf");
   for (const std::uint64_t tasks :
        {65536ull, 262144ull, 1048576ull, 4194304ull}) {
     stat::StatBenchConfig config;
@@ -32,7 +30,8 @@ int main(int argc, char** argv) {
     config.repr = stat::TaskSetRepr::kHierarchical;
     const auto h = stat::run_statbench(config);
     if (!d.status.is_ok() || !h.status.is_ok()) {
-      std::printf("  %-14llu FAILED\n", static_cast<unsigned long long>(tasks));
+      note(std::to_string(tasks) + " virtual tasks failed: " +
+           (d.status.is_ok() ? h.status : d.status).to_string());
       continue;
     }
     const double dt = to_seconds(d.merge_time);
@@ -43,10 +42,9 @@ int main(int argc, char** argv) {
                     static_cast<double>(d.leaf_payload_bytes) / 1024.0);
     hier_bytes.add(static_cast<double>(tasks),
                    static_cast<double>(h.leaf_payload_bytes) / 1024.0);
-    std::printf("  %-14llu %14.3f %13.1f KB %14.3f %13.1f KB\n",
-                static_cast<unsigned long long>(tasks), dt,
-                dense_bytes.y.back(), ht, hier_bytes.y.back());
   }
+  print_table("virtual-tasks", {dense, hier});
+  print_table("tasks (leaf KB)", {dense_bytes, hier_bytes});
 
   const double scale_growth = 4194304.0 / 65536.0;  // 64x
   shape_check("dense merge grows with virtual scale (>= 0.3x scale growth)",

@@ -1,7 +1,8 @@
 // LaunchMON-style tool infrastructure (Sec. IV-B).
 //
 // LaunchMON decouples daemon launching from the tool: the front end issues
-// one request and the resource manager bulk-launches daemons. It also gives
+// one request and the resource manager bulk-launches daemons (priced by
+// rm::launch with LauncherKind::kLaunchMon). It also gives
 // back-end daemons a collective communication fabric; STAT's SBRS uses the
 // fabric's broadcast to push relocated binaries to every daemon over the
 // interconnect (Sec. VI-B: "through the Infiniband switch in the case of
@@ -14,7 +15,6 @@
 #include "common/types.hpp"
 #include "machine/machine.hpp"
 #include "net/network.hpp"
-#include "rm/launcher.hpp"
 #include "sim/simulator.hpp"
 
 namespace petastat::launchmon {
@@ -26,7 +26,6 @@ class BackEndFabric {
                 net::Network& network, machine::DaemonLayout layout);
 
   [[nodiscard]] NodeId master_host() const;
-  [[nodiscard]] std::uint32_t num_daemons() const { return layout_.num_daemons; }
 
   /// Binomial-tree broadcast of `bytes` from the master daemon to all
   /// daemons, with real per-hop network transfers (NIC contention included).
@@ -46,28 +45,6 @@ class BackEndFabric {
   machine::MachineConfig machine_;
   net::Network& net_;
   machine::DaemonLayout layout_;
-};
-
-/// Front-end session: chooses a launcher and exposes the fabric.
-class LaunchMonSession {
- public:
-  LaunchMonSession(sim::Simulator& simulator,
-                   const machine::MachineConfig& machine, net::Network& network,
-                   machine::DaemonLayout layout)
-      : machine_(machine), fabric_(simulator, machine, network, layout) {}
-
-  /// Launches tool daemons through the given launcher.
-  void launch(rm::DaemonLauncher& launcher, const rm::LaunchRequest& request,
-              rm::LaunchCallback done) {
-    launcher.launch(request, std::move(done));
-  }
-
-  [[nodiscard]] BackEndFabric& fabric() { return fabric_; }
-  [[nodiscard]] const machine::MachineConfig& machine() const { return machine_; }
-
- private:
-  machine::MachineConfig machine_;
-  BackEndFabric fabric_;
 };
 
 }  // namespace petastat::launchmon

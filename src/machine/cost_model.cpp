@@ -40,9 +40,9 @@ std::uint32_t tree_levels(std::uint32_t n, std::uint32_t fanout) {
 }
 
 SimTime serial_shell_spawn_time(const LaunchCosts& costs,
-                                std::uint32_t daemons) {
+                                std::uint32_t procs) {
   return static_cast<SimTime>(
-      static_cast<double>(costs.remote_shell_per_daemon) * daemons);
+      static_cast<double>(costs.remote_shell_per_daemon) * procs);
 }
 
 SimTime bulk_tree_spawn_time(const LaunchCosts& costs, std::uint32_t daemons) {
@@ -71,11 +71,6 @@ SimTime ciod_app_launch_time(const LaunchCosts& costs,
   return costs.app_launch_base +
          static_cast<SimTime>(static_cast<double>(costs.app_launch_per_proc) *
                               app_procs);
-}
-
-SimTime comm_spawn_time(const LaunchCosts& costs, std::uint32_t comm_procs) {
-  return static_cast<SimTime>(
-      static_cast<double>(costs.remote_shell_per_daemon) * comm_procs);
 }
 
 SimTime stack_walk_cost(const SamplingCosts& costs, std::size_t frames) {
@@ -126,20 +121,10 @@ SimTime placed_spawn_time(const LaunchCosts& costs, std::uint32_t procs,
           (procs - distinct_hosts));
 }
 
-SimTime reducer_spawn_time(const LaunchCosts& costs, std::uint32_t procs,
-                           std::uint32_t distinct_hosts) {
-  return placed_spawn_time(costs, procs, distinct_hosts);
-}
-
 SimTime shard_combine_cost(const MergeCosts& costs, std::uint64_t tree_nodes,
                            std::uint64_t payload_bytes) {
   return packet_codec_cost(costs, payload_bytes) +
          filter_merge_cost(costs, tree_nodes, payload_bytes);
-}
-
-SimTime sharded_remap_cost(const MergeCosts& costs,
-                           std::uint64_t largest_slice_tasks) {
-  return frontend_remap_cost(costs, largest_slice_tasks);
 }
 
 SimTime expected_detection_latency(SimTime ping_period,

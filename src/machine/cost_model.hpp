@@ -130,19 +130,22 @@ struct CostModel {
 // Analytic phase formulas.
 //
 // Noise-free expectations of every modelled duration. The simulated services
-// (rm::*Launcher, stackwalker::StackWalker, the STAT filter, StatScenario)
-// draw per-run noise *around exactly these formulas*; plan::PhasePredictor
-// consumes them directly. One shared formulation is what makes the
+// (stackwalker::StackWalker, the STAT filter, StatScenario) draw per-run
+// noise *around exactly these formulas*; plan::PhasePredictor consumes them
+// directly. The launch formulas below have one caller, rm::launch, which
+// the scenario runs with its seed and the planner without one. One shared
+// formulation is what makes the
 // predictor's topology ranking trustworthy — if a service's timing model
 // changes, it must change here, where both sides see it.
 
 /// Fan-out tree levels needed to reach n leaves (n itself for n <= 1).
 [[nodiscard]] std::uint32_t tree_levels(std::uint32_t n, std::uint32_t fanout);
 
-/// MRNet's ad hoc spawner: one remote shell per daemon, strictly serial from
-/// the front end (the Fig. 2 linear trend).
+/// MRNet's ad hoc spawner: one remote shell per process, strictly serial
+/// from the front end — daemons (the Fig. 2 linear trend) and MRNet comm
+/// processes alike.
 [[nodiscard]] SimTime serial_shell_spawn_time(const LaunchCosts& costs,
-                                              std::uint32_t daemons);
+                                              std::uint32_t procs);
 
 /// LaunchMON path: one RM request plus the RM's internal broadcast tree.
 [[nodiscard]] SimTime bulk_tree_spawn_time(const LaunchCosts& costs,
@@ -161,10 +164,6 @@ struct CostModel {
 /// BG/L application launch under tool control.
 [[nodiscard]] SimTime ciod_app_launch_time(const LaunchCosts& costs,
                                            std::uint32_t app_procs);
-
-/// MRNet comm processes are spawned serially from the front end.
-[[nodiscard]] SimTime comm_spawn_time(const LaunchCosts& costs,
-                                      std::uint32_t comm_procs);
 
 /// One third-party stack walk of `frames` frames, including the daemon-local
 /// merge of the resulting path (before contention scaling).
@@ -190,8 +189,10 @@ struct CostModel {
                                         std::uint64_t tree_nodes,
                                         std::uint64_t label_bytes);
 
-/// Front-end remap of daemon-order task lists to MPI rank order (the
-/// optimized representation's finalization step).
+/// Remap of `tasks` daemon-order task lists to MPI rank order (the
+/// optimized representation's finalization step). A sharded front end's
+/// reducers remap their slices concurrently, so there the phase costs the
+/// largest slice (tbon::remap_time).
 [[nodiscard]] SimTime frontend_remap_cost(const MergeCosts& costs,
                                           std::uint64_t tasks);
 
@@ -211,31 +212,17 @@ struct CostModel {
 /// few hosts makes this formula small and the merge-time link contention
 /// (every transfer serialized on each link of its net::route_between route,
 /// so colocated helpers queue on one access link) large; spreading does the
-/// reverse. One formulation for the simulator (StatScenario's connect
-/// phase) and the planner.
+/// reverse. tbon::connect_phase_time prices the shard machinery (reducers +
+/// combiners) with it, over tbon::shard_spawn_hosts.
 [[nodiscard]] SimTime placed_spawn_time(const LaunchCosts& costs,
                                         std::uint32_t procs,
                                         std::uint32_t distinct_hosts);
-
-/// Spawn burst of the shard machinery (reducers + combiners): reducers are
-/// MRNet comm processes with a special role, spawned serially from the front
-/// end; colocated helpers fork locally after the first per-host handshake.
-/// Feed it tbon::TbonTopology::num_shard_procs() and
-/// tbon::shard_spawn_hosts().
-[[nodiscard]] SimTime reducer_spawn_time(const LaunchCosts& costs,
-                                         std::uint32_t procs,
-                                         std::uint32_t distinct_hosts);
 
 /// Front-end CPU to accept and fold one reducer's merged shard payload
 /// during the final combine (unpack + structural merge).
 [[nodiscard]] SimTime shard_combine_cost(const MergeCosts& costs,
                                          std::uint64_t tree_nodes,
                                          std::uint64_t payload_bytes);
-
-/// Critical path of the distributed remap: reducers remap their slices
-/// concurrently, so the phase costs the largest slice's remap.
-[[nodiscard]] SimTime sharded_remap_cost(const MergeCosts& costs,
-                                         std::uint64_t largest_slice_tasks);
 
 // --- Failure recovery ------------------------------------------------------
 //

@@ -338,50 +338,6 @@ Result<PhasePredictor> PhasePredictor::create(machine::MachineConfig machine,
                         layout.value());
 }
 
-SimTime PhasePredictor::predict_launch(Status& viability) const {
-  const machine::LaunchCosts& costs = costs_.launch;
-  const std::uint32_t daemons = layout_.num_daemons;
-  const bool tool_launches_app =
-      machine_.daemon_placement == machine::DaemonPlacement::kPerIoNode;
-  const std::uint32_t app_procs = tool_launches_app ? layout_.num_tasks : 0;
-
-  switch (options_.launcher) {
-    case stat::LauncherKind::kMrnetRsh:
-      if (!machine_.supports_rsh) {
-        viability = unavailable(machine_.name + " does not support rsh");
-      } else if (daemons >= costs.rsh_failure_threshold) {
-        viability = unavailable("rsh spawn fails (reserved ports exhausted)");
-      }
-      return machine::serial_shell_spawn_time(costs, daemons) +
-             costs.daemon_init;
-    case stat::LauncherKind::kMrnetSsh:
-      if (!machine_.supports_ssh) {
-        viability =
-            unavailable(machine_.name + " compute nodes do not run sshd");
-      }
-      return machine::serial_shell_spawn_time(costs, daemons) +
-             costs.daemon_init;
-    case stat::LauncherKind::kLaunchMon:
-      return machine::bulk_tree_spawn_time(costs, daemons) + costs.daemon_init;
-    case stat::LauncherKind::kCiodPatched:
-      return machine::ciod_spawn_time(costs, daemons) + costs.daemon_init +
-             machine::ciod_app_launch_time(costs, app_procs) +
-             machine::ciod_process_table_time(costs, app_procs,
-                                              /*patched=*/true);
-    case stat::LauncherKind::kCiodUnpatched:
-      if (app_procs >= costs.ciod_unpatched_hang_threshold) {
-        viability = deadline_exceeded(
-            "BG/L resource manager hang generating the process table");
-      }
-      return machine::ciod_spawn_time(costs, daemons) + costs.daemon_init +
-             machine::ciod_app_launch_time(costs, app_procs) +
-             machine::ciod_process_table_time(costs, app_procs,
-                                              /*patched=*/false);
-  }
-  check(false, "unknown LauncherKind");
-  return 0;
-}
-
 SimTime PhasePredictor::predict_sampling() const {
   const machine::SamplingCosts& costs = costs_.sampling;
   const double contention =
@@ -423,16 +379,14 @@ Result<PhasePrediction> PhasePredictor::predict(
   p.num_comm_procs = topo.num_comm_procs();
 
   // --- Startup -------------------------------------------------------------
-  // The shard machinery's spawn is placement-aware: one remote-shell
-  // handshake per distinct host, local forks for colocated helpers — the
-  // exact formula (and host count) the scenario's connect phase charges.
-  const std::uint32_t shard_procs = topo.num_shard_procs();
-  p.launch = predict_launch(p.viability);
-  p.connect =
-      machine::comm_spawn_time(costs_.launch, p.num_comm_procs - shard_procs) +
-      machine::reducer_spawn_time(costs_.launch, shard_procs,
-                                  tbon::shard_spawn_hosts(topo)) +
-      tbon::connect_time(topo, costs_.launch);
+  // The run's own launch and connect formulas, noise-free: a doomed launcher
+  // is priced at the time the run takes to surface its failure.
+  const rm::LaunchReport launch =
+      rm::launch(options_.launcher, machine_, costs_.launch,
+                 rm::launch_request(machine_, layout_), std::nullopt);
+  p.viability = launch.status;
+  p.launch = launch.total();
+  p.connect = tbon::connect_phase_time(topo, costs_.launch);
   p.startup = p.launch + p.connect;
 
   // --- Sampling ------------------------------------------------------------
@@ -462,12 +416,7 @@ Result<PhasePrediction> PhasePredictor::predict(
                 .merge;
 
   if (options_.repr == stat::TaskSetRepr::kHierarchical) {
-    if (topo.sharded()) {
-      p.remap = machine::sharded_remap_cost(
-          costs_.merge, tbon::largest_shard_task_count(topo, layout_));
-    } else {
-      p.remap = machine::frontend_remap_cost(costs_.merge, layout_.num_tasks);
-    }
+    p.remap = tbon::remap_time(costs_.merge, topo, layout_);
   }
   return p;
 }

@@ -5,7 +5,9 @@
 // A PhasePredictor prices a (machine, job, options, TopologySpec) tuple
 // WITHOUT running the discrete-event simulator. It is side-effect-free and
 // consumes the exact formulation the simulated services use:
-//   * the analytic launch/sampling/merge formulas in machine/cost_model
+//   * the run's own startup functions, rm::launch (without its noise seed)
+//     and tbon::connect_phase_time, and its remap pricer tbon::remap_time,
+//   * the analytic sampling/merge formulas in machine/cost_model
 //     (the services draw their per-run noise *around* these),
 //   * the switch-graph route pricing in net::route_between /
 //     net::bottleneck_rate (the exact links the simulated Network reserves
@@ -35,6 +37,7 @@
 #include "machine/cost_model.hpp"
 #include "machine/machine.hpp"
 #include "net/network.hpp"
+#include "rm/launcher.hpp"
 #include "stat/scenario.hpp"
 #include "tbon/topology.hpp"
 
@@ -110,7 +113,9 @@ struct PhasePrediction {
   /// unsupported on the machine, rsh port exhaustion, CIOD hang.
   Status viability = Status::ok();
 
-  SimTime launch = 0;    // daemon (and BG/L app) launch
+  /// Daemon (and BG/L app) launch: rm::launch without noise, so a doomed
+  /// launcher costs the time the run takes to surface its failure.
+  SimTime launch = 0;
   SimTime connect = 0;   // comm-process spawn + MRNet instantiation
   SimTime startup = 0;   // launch + connect
   SimTime sampling = 0;  // symbol I/O + parse + walks (coarse; see header)
@@ -231,7 +236,6 @@ class PhasePredictor {
                  stat::StatOptions options, machine::CostModel costs,
                  machine::DaemonLayout layout);
 
-  [[nodiscard]] SimTime predict_launch(Status& viability) const;
   [[nodiscard]] SimTime predict_sampling() const;
 
   /// The one round pricer behind every merge prediction: what

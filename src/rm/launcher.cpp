@@ -1,156 +1,120 @@
 #include "rm/launcher.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <string>
+
+#include "common/rng.hpp"
 
 namespace petastat::rm {
 
-// ---------------------------------------------------------------------------
-// RemoteShellLauncher
-
-RemoteShellLauncher::RemoteShellLauncher(sim::Simulator& simulator,
-                                         const machine::MachineConfig& machine,
-                                         const machine::LaunchCosts& costs,
-                                         ShellProtocol protocol,
-                                         std::uint64_t seed)
-    : sim_(simulator),
-      machine_(machine),
-      costs_(costs),
-      protocol_(protocol),
-      rng_(seed, /*stream_id=*/0x4c) {}
-
-void RemoteShellLauncher::launch(const LaunchRequest& request,
-                                 LaunchCallback done) {
-  LaunchReport report;
-  report.started_at = sim_.now();
-
-  if (protocol_ == ShellProtocol::kRsh && !machine_.supports_rsh) {
-    report.status = unavailable(machine_.name + " does not support rsh");
-  } else if (protocol_ == ShellProtocol::kSsh && !machine_.supports_ssh) {
-    report.status =
-        unavailable(machine_.name + " compute nodes do not run sshd");
-  } else if (protocol_ == ShellProtocol::kRsh &&
-             request.num_daemons >= costs_.rsh_failure_threshold) {
-    // rsh uses reserved ports; the front end exhausts them fanning out this
-    // wide. The failure surfaces only after the spawner has ground through
-    // part of the list, matching observed behaviour.
-    const double burned =
-        to_seconds(costs_.remote_shell_per_daemon) *
-        static_cast<double>(costs_.rsh_failure_threshold) * 0.5;
-    report.status = unavailable("rsh spawn failed (reserved ports exhausted)");
-    report.finished_at = sim_.now() + seconds(burned);
-    sim_.schedule_at(report.finished_at,
-                     [report, done = std::move(done)]() { done(report); });
-    return;
-  }
-
-  if (!report.status.is_ok()) {
-    report.finished_at = sim_.now();
-    sim_.schedule_in(0, [report, done = std::move(done)]() { done(report); });
-    return;
-  }
-
-  // One remote shell per daemon, strictly sequential from the front end:
-  // per-spawn lognormal noise around the shared analytic formula.
-  double noise_sum = 0.0;
-  for (std::uint32_t i = 0; i < request.num_daemons; ++i) {
-    noise_sum += rng_.lognormal_factor(costs_.remote_shell_sigma);
-  }
-  const double mean_noise =
-      request.num_daemons > 0 ? noise_sum / request.num_daemons : 1.0;
-  const SimTime spawn = static_cast<SimTime>(
-      static_cast<double>(
-          machine::serial_shell_spawn_time(costs_, request.num_daemons)) *
-      mean_noise);
-  const SimTime init = costs_.daemon_init;  // daemons initialize in parallel
-  report.daemon_spawn_time = spawn;
-  report.finished_at = sim_.now() + spawn + init;
-  sim_.schedule_at(report.finished_at,
-                   [report, done = std::move(done)]() { done(report); });
+LaunchRequest launch_request(const machine::MachineConfig& machine,
+                             const machine::DaemonLayout& layout) {
+  const bool tool_launches_app =
+      machine.daemon_placement == machine::DaemonPlacement::kPerIoNode;
+  return {layout.num_daemons, tool_launches_app ? layout.num_tasks : 0};
 }
 
-// ---------------------------------------------------------------------------
-// BulkTreeLauncher
+LaunchReport launch(LauncherKind kind, const machine::MachineConfig& machine,
+                    const machine::LaunchCosts& costs,
+                    const LaunchRequest& request,
+                    std::optional<std::uint64_t> noise_seed) {
+  // Each launcher draws from its own stream of the seed; no seed, no noise.
+  std::optional<Rng> rng;
+  const auto noise = [&](std::uint64_t stream, double sigma) {
+    if (!noise_seed) return 1.0;
+    if (!rng) rng.emplace(*noise_seed, stream);
+    return rng->lognormal_factor(sigma);
+  };
+  // A formula time scaled by a noise factor (exact when the factor is 1.0).
+  const auto scaled = [](SimTime time, double factor) {
+    return static_cast<SimTime>(static_cast<double>(time) * factor);
+  };
 
-BulkTreeLauncher::BulkTreeLauncher(sim::Simulator& simulator,
-                                   const machine::LaunchCosts& costs,
-                                   std::uint64_t seed)
-    : sim_(simulator), costs_(costs), rng_(seed, /*stream_id=*/0xb1) {}
-
-void BulkTreeLauncher::launch(const LaunchRequest& request, LaunchCallback done) {
   LaunchReport report;
-  report.started_at = sim_.now();
-
-  const double noise = rng_.lognormal_factor(0.05);
-  const SimTime spawn = static_cast<SimTime>(
-      static_cast<double>(
-          machine::bulk_tree_spawn_time(costs_, request.num_daemons)) *
-      noise);
-  report.daemon_spawn_time = spawn;
-  report.finished_at = sim_.now() + spawn + costs_.daemon_init;
-  sim_.schedule_at(report.finished_at,
-                   [report, done = std::move(done)]() { done(report); });
-}
-
-// ---------------------------------------------------------------------------
-// CiodLauncher
-
-CiodLauncher::CiodLauncher(sim::Simulator& simulator,
-                           const machine::LaunchCosts& costs, bool patched,
-                           std::uint64_t seed)
-    : sim_(simulator),
-      costs_(costs),
-      patched_(patched),
-      rng_(seed, /*stream_id=*/0xc10d) {}
-
-SimTime CiodLauncher::process_table_time(std::uint32_t procs) const {
-  return machine::ciod_process_table_time(costs_, procs, patched_);
-}
-
-void CiodLauncher::launch(const LaunchRequest& request, LaunchCallback done) {
-  LaunchReport report;
-  report.started_at = sim_.now();
-
-  if (!patched_ &&
-      request.num_app_procs >= costs_.ciod_unpatched_hang_threshold) {
-    // The pre-patch resource manager hung at 208K processes (Sec. IV-A). We
-    // surface that as DEADLINE_EXCEEDED after a watchdog interval.
-    report.status =
-        deadline_exceeded("BG/L resource manager hang generating the process "
-                          "table at " + std::to_string(request.num_app_procs) +
-                          " processes");
-    report.finished_at = sim_.now() + 1800 * kSecond;  // 30 min watchdog
-    sim_.schedule_at(report.finished_at,
-                     [report, done = std::move(done)]() { done(report); });
-    return;
+  switch (kind) {
+    case LauncherKind::kMrnetRsh:
+    case LauncherKind::kMrnetSsh: {
+      const bool rsh = kind == LauncherKind::kMrnetRsh;
+      if (rsh && !machine.supports_rsh) {
+        report.status = unavailable(machine.name + " does not support rsh");
+        return report;
+      }
+      if (!rsh && !machine.supports_ssh) {
+        report.status =
+            unavailable(machine.name + " compute nodes do not run sshd");
+        return report;
+      }
+      if (rsh && request.num_daemons >= costs.rsh_failure_threshold) {
+        // rsh uses reserved ports; the front end exhausts them fanning out
+        // this wide. The failure surfaces only after the spawner has ground
+        // through part of the list, matching observed behaviour.
+        report.status =
+            unavailable("rsh spawn failed (reserved ports exhausted)");
+        report.finished_at =
+            seconds(to_seconds(costs.remote_shell_per_daemon) *
+                    static_cast<double>(costs.rsh_failure_threshold) * 0.5);
+        return report;
+      }
+      // One remote shell per daemon, strictly sequential from the front end:
+      // per-spawn lognormal noise around the shared analytic formula.
+      double mean_noise = 1.0;
+      if (noise_seed && request.num_daemons > 0) {
+        double noise_sum = 0.0;
+        for (std::uint32_t i = 0; i < request.num_daemons; ++i) {
+          noise_sum += noise(0x4c, costs.remote_shell_sigma);
+        }
+        mean_noise = noise_sum / request.num_daemons;
+      }
+      report.daemon_spawn_time = scaled(
+          machine::serial_shell_spawn_time(costs, request.num_daemons),
+          mean_noise);
+      // Daemons initialize in parallel.
+      report.finished_at = report.daemon_spawn_time + costs.daemon_init;
+      return report;
+    }
+    case LauncherKind::kLaunchMon:
+      report.daemon_spawn_time = scaled(
+          machine::bulk_tree_spawn_time(costs, request.num_daemons),
+          noise(0xb1, 0.05));
+      report.finished_at = report.daemon_spawn_time + costs.daemon_init;
+      return report;
+    case LauncherKind::kCiodPatched:
+    case LauncherKind::kCiodUnpatched: {
+      const bool patched = kind == LauncherKind::kCiodPatched;
+      if (!patched &&
+          request.num_app_procs >= costs.ciod_unpatched_hang_threshold) {
+        // The pre-patch resource manager hung at 208K processes (Sec. IV-A).
+        // We surface that as DEADLINE_EXCEEDED after a watchdog interval.
+        report.status = deadline_exceeded(
+            "BG/L resource manager hang generating the process table at " +
+            std::to_string(request.num_app_procs) + " processes");
+        report.finished_at = 1800 * kSecond;  // 30 min watchdog
+        return report;
+      }
+      const double factor = noise(0xc10d, 0.04);
+      // Daemons are pushed to the I/O nodes through the control network in
+      // bulk.
+      report.daemon_spawn_time =
+          scaled(machine::ciod_spawn_time(costs, request.num_daemons),
+                 factor) +
+          costs.daemon_init;
+      // The app is launched under tool control (the BG/L prototype requires
+      // it).
+      report.app_launch_time =
+          costs.app_launch_base +
+          scaled(machine::ciod_app_launch_time(costs, request.num_app_procs) -
+                     costs.app_launch_base,
+                 factor);
+      report.system_software_time = scaled(
+          machine::ciod_process_table_time(costs, request.num_app_procs,
+                                           patched),
+          factor);
+      report.finished_at = report.daemon_spawn_time + report.app_launch_time +
+                           report.system_software_time;
+      return report;
+    }
   }
-
-  const double noise = rng_.lognormal_factor(0.04);
-
-  // Daemons are pushed to the I/O nodes through the control network in bulk.
-  const SimTime spawn =
-      static_cast<SimTime>(
-          static_cast<double>(
-              machine::ciod_spawn_time(costs_, request.num_daemons)) *
-          noise) +
-      costs_.daemon_init;
-  // The app is launched under tool control (the BG/L prototype requires it).
-  const SimTime app =
-      costs_.app_launch_base +
-      static_cast<SimTime>(
-          static_cast<double>(
-              machine::ciod_app_launch_time(costs_, request.num_app_procs) -
-              costs_.app_launch_base) *
-          noise);
-  const SimTime table = static_cast<SimTime>(
-      static_cast<double>(process_table_time(request.num_app_procs)) * noise);
-
-  report.daemon_spawn_time = spawn;
-  report.app_launch_time = app;
-  report.system_software_time = table;
-  report.finished_at = sim_.now() + spawn + app + table;
-  sim_.schedule_at(report.finished_at,
-                   [report, done = std::move(done)]() { done(report); });
+  check(false, "unknown LauncherKind");
+  return report;
 }
 
 }  // namespace petastat::rm

@@ -1,30 +1,41 @@
-// Daemon-launching services (Sec. IV).
+// Daemon launching (Sec. IV): one pure function prices every launcher.
 //
-// Three launchers model the paper's spectrum:
-//  * RemoteShellLauncher — MRNet's ad hoc rsh/ssh spawner: one serial remote
-//    shell per daemon from the front end. Linear by construction, and rsh
-//    "consistently fails" at 512 daemons (connection/port exhaustion).
-//  * BulkTreeLauncher — the LaunchMON path: one resource-manager request,
-//    then the RM's internal fan-out tree starts all daemons in O(log n).
-//  * CiodLauncher — BG/L system software: daemons are started on I/O nodes
-//    by CIOD, the application is launched under tool control, and the RM
-//    builds the process table. The unpatched table packer used strcat —
-//    which rescans the destination buffer on every append, making packing
-//    quadratic — and hung outright at 208K processes. The IBM patches
-//    (bigger buffers, no strcat) make it linear; Fig. 3 shows >2x at 104K.
+// The paper's spectrum, one LauncherKind each:
+//  * rsh/ssh — MRNet's ad hoc spawner: one serial remote shell per daemon
+//    from the front end. Linear by construction, and rsh "consistently
+//    fails" at 512 daemons (connection/port exhaustion).
+//  * LaunchMON — one resource-manager request, then the RM's internal
+//    fan-out tree starts all daemons in O(log n).
+//  * CIOD — BG/L system software: daemons are started on I/O nodes by CIOD,
+//    the application is launched under tool control, and the RM builds the
+//    process table. The unpatched table packer used strcat — which rescans
+//    the destination buffer on every append, making packing quadratic — and
+//    hung outright at 208K processes. The IBM patches (bigger buffers, no
+//    strcat) make it linear; Fig. 3 shows >2x at 104K.
+//
+// rm::launch is the one model of all of them. The scenario calls it with
+// its run seed (per-spawn lognormal noise) and schedules the completion; the
+// planner calls it without a seed (every noise factor exactly 1.0), so the
+// prediction is the run's launch by construction, failures included.
 #pragma once
 
-#include <functional>
-#include <string_view>
+#include <cstdint>
+#include <optional>
 
-#include "common/rng.hpp"
 #include "common/status.hpp"
 #include "common/types.hpp"
 #include "machine/cost_model.hpp"
 #include "machine/machine.hpp"
-#include "sim/simulator.hpp"
 
 namespace petastat::rm {
+
+enum class LauncherKind {
+  kMrnetRsh,       // MRNet's ad hoc serial rsh spawner
+  kMrnetSsh,       // same, over ssh
+  kLaunchMon,      // bulk launch through the resource manager
+  kCiodPatched,    // BG/L system software, after the IBM patches
+  kCiodUnpatched,  // BG/L system software, original (quadratic, hangs at 208K)
+};
 
 struct LaunchRequest {
   std::uint32_t num_daemons = 0;
@@ -32,6 +43,13 @@ struct LaunchRequest {
   /// app is already running (Atlas attach model).
   std::uint32_t num_app_procs = 0;
 };
+
+/// The request for `layout` on `machine`: one daemon per layout slot, and on
+/// BG/L-style machines (daemons on I/O nodes) the tool launches the
+/// application, so all `num_tasks` processes are tabled. On the cluster STAT
+/// attaches to a running job.
+[[nodiscard]] LaunchRequest launch_request(const machine::MachineConfig& machine,
+                                           const machine::DaemonLayout& layout);
 
 /// Phase breakdown of a completed (or failed) launch.
 struct LaunchReport {
@@ -47,75 +65,20 @@ struct LaunchReport {
   [[nodiscard]] SimTime total() const { return finished_at - started_at; }
 };
 
-using LaunchCallback = std::function<void(const LaunchReport&)>;
-
-class DaemonLauncher {
- public:
-  virtual ~DaemonLauncher() = default;
-  [[nodiscard]] virtual std::string_view name() const = 0;
-  /// Starts the launch now; `done` fires at the modelled completion time
-  /// (or at failure detection time with a non-OK status).
-  virtual void launch(const LaunchRequest& request, LaunchCallback done) = 0;
-};
-
-enum class ShellProtocol { kRsh, kSsh };
-
-class RemoteShellLauncher final : public DaemonLauncher {
- public:
-  RemoteShellLauncher(sim::Simulator& simulator,
-                      const machine::MachineConfig& machine,
-                      const machine::LaunchCosts& costs, ShellProtocol protocol,
-                      std::uint64_t seed);
-
-  [[nodiscard]] std::string_view name() const override {
-    return protocol_ == ShellProtocol::kRsh ? "mrnet-rsh" : "mrnet-ssh";
-  }
-  void launch(const LaunchRequest& request, LaunchCallback done) override;
-
- private:
-  sim::Simulator& sim_;
-  machine::MachineConfig machine_;
-  machine::LaunchCosts costs_;
-  ShellProtocol protocol_;
-  Rng rng_;
-};
-
-class BulkTreeLauncher final : public DaemonLauncher {
- public:
-  BulkTreeLauncher(sim::Simulator& simulator, const machine::LaunchCosts& costs,
-                   std::uint64_t seed);
-
-  [[nodiscard]] std::string_view name() const override { return "launchmon-rm"; }
-  void launch(const LaunchRequest& request, LaunchCallback done) override;
-
- private:
-  sim::Simulator& sim_;
-  machine::LaunchCosts costs_;
-  Rng rng_;
-};
-
-class CiodLauncher final : public DaemonLauncher {
- public:
-  CiodLauncher(sim::Simulator& simulator, const machine::LaunchCosts& costs,
-               bool patched, std::uint64_t seed);
-
-  [[nodiscard]] std::string_view name() const override {
-    return patched_ ? "ciod-patched" : "ciod-unpatched";
-  }
-  void launch(const LaunchRequest& request, LaunchCallback done) override;
-
-  /// Modelled process-table generation time for `procs` processes.
-  [[nodiscard]] SimTime process_table_time(std::uint32_t procs) const;
-
- private:
-  sim::Simulator& sim_;
-  machine::LaunchCosts costs_;
-  bool patched_;
-  Rng rng_;
-};
-
-/// Number of fan-out tree levels needed to reach n leaves (shared analytic
-/// formulation; lives in machine/cost_model next to the launch formulas).
-using machine::tree_levels;
+/// Launches `request`'s daemons with `kind` on `machine`, starting at time 0.
+/// A failed launch comes back non-OK with `finished_at` at the moment the
+/// failure surfaces: at once for an unsupported remote shell, after half the
+/// spawn list at the rsh port limit, after the 30-minute watchdog for the
+/// unpatched CIOD hang.
+///
+/// With `noise_seed`, each launcher draws its run noise from its own Rng
+/// stream of that seed (0x4c rsh/ssh, 0xb1 LaunchMON, 0xc10d CIOD). Without
+/// one, every noise factor is exactly 1.0 and the phases are the analytic
+/// formulas of machine/cost_model.hpp.
+[[nodiscard]] LaunchReport launch(LauncherKind kind,
+                                  const machine::MachineConfig& machine,
+                                  const machine::LaunchCosts& costs,
+                                  const LaunchRequest& request,
+                                  std::optional<std::uint64_t> noise_seed);
 
 }  // namespace petastat::rm

@@ -3,9 +3,9 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <memory>
 #include <utility>
 
+#include "common/file_io.hpp"
 #include "stat/cli_config.hpp"
 
 namespace petastat::service {
@@ -401,15 +401,9 @@ Result<ServiceTrace> parse_service_trace(std::string_view text) {
 }
 
 Result<ServiceTrace> load_service_trace(const std::string& path) {
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(
-      std::fopen(path.c_str(), "rb"), &std::fclose);
-  if (!file) return not_found("cannot read trace file '" + path + "'");
-  std::string text;
-  char buf[4096];
-  while (const std::size_t n = std::fread(buf, 1, sizeof(buf), file.get())) {
-    text.append(buf, n);
-  }
-  return parse_service_trace(text);
+  auto text = read_file(path);
+  if (!text.is_ok()) return text.status();
+  return parse_service_trace(text.value());
 }
 
 }  // namespace petastat::service

@@ -41,7 +41,8 @@ struct ServiceTrace {
 /// negative arrivals, and invalid session flags are INVALID_ARGUMENT.
 [[nodiscard]] Result<ServiceTrace> parse_service_trace(std::string_view text);
 
-/// Reads and parses a trace file (NOT_FOUND when unreadable).
+/// Reads and parses a trace file (NOT_FOUND when it cannot be opened,
+/// UNAVAILABLE on a read error).
 [[nodiscard]] Result<ServiceTrace> load_service_trace(const std::string& path);
 
 }  // namespace petastat::service

@@ -11,17 +11,6 @@
 
 namespace petastat::stat {
 
-const char* launcher_kind_name(LauncherKind kind) {
-  switch (kind) {
-    case LauncherKind::kMrnetRsh: return "mrnet-rsh";
-    case LauncherKind::kMrnetSsh: return "mrnet-ssh";
-    case LauncherKind::kLaunchMon: return "launchmon";
-    case LauncherKind::kCiodPatched: return "ciod-patched";
-    case LauncherKind::kCiodUnpatched: return "ciod-unpatched";
-  }
-  return "?";
-}
-
 const char* task_set_repr_name(TaskSetRepr repr) {
   return repr == TaskSetRepr::kDenseGlobal ? "dense-bitvector"
                                            : "hierarchical-list";
@@ -315,8 +304,8 @@ StatScenario::StatScenario(machine::MachineConfig machine,
   walker_ = std::make_unique<stackwalker::StackWalker>(
       sim_, machine_, costs_.sampling, *files_, *app_, layout_, run_seed);
   walker_->set_executor(exec_);
-  lmon_ = std::make_unique<launchmon::LaunchMonSession>(sim_, machine_, *net_,
-                                                        layout_);
+  fabric_ = std::make_unique<launchmon::BackEndFabric>(sim_, machine_, *net_,
+                                                       layout_);
 }
 
 StatScenario::~StatScenario() = default;
@@ -375,64 +364,25 @@ StatRunResult StatScenario::run_impl() {
   if (restore_ != nullptr) {
     result.restored = true;
     result.restore_cursor = restore_->cursor;
+  } else {
+    rm::LaunchReport& launch = phases.launch;
+    launch = rm::launch(options_.launcher, machine_, costs_.launch,
+                        rm::launch_request(machine_, layout_), options_.seed);
+    launch.started_at += sim_.now();
+    launch.finished_at += sim_.now();
+    sim_.schedule_at(launch.finished_at, []() {});
+    sim_.run();
+    if (!launch.status.is_ok()) {
+      result.status = launch.status;
+      phases.startup_total = sim_.now();
+      return result;
+    }
   }
-  std::unique_ptr<rm::DaemonLauncher> launcher;
-  if (restore_ == nullptr) {
-  switch (options_.launcher) {
-    case LauncherKind::kMrnetRsh:
-      launcher = std::make_unique<rm::RemoteShellLauncher>(
-          sim_, machine_, costs_.launch, rm::ShellProtocol::kRsh, options_.seed);
-      break;
-    case LauncherKind::kMrnetSsh:
-      launcher = std::make_unique<rm::RemoteShellLauncher>(
-          sim_, machine_, costs_.launch, rm::ShellProtocol::kSsh, options_.seed);
-      break;
-    case LauncherKind::kLaunchMon:
-      launcher =
-          std::make_unique<rm::BulkTreeLauncher>(sim_, costs_.launch, options_.seed);
-      break;
-    case LauncherKind::kCiodPatched:
-      launcher = std::make_unique<rm::CiodLauncher>(sim_, costs_.launch,
-                                                    /*patched=*/true, options_.seed);
-      break;
-    case LauncherKind::kCiodUnpatched:
-      launcher = std::make_unique<rm::CiodLauncher>(
-          sim_, costs_.launch, /*patched=*/false, options_.seed);
-      break;
-  }
-
-  rm::LaunchRequest request;
-  request.num_daemons = layout_.num_daemons;
-  // BG/L-style machines launch the application under tool control; on the
-  // cluster STAT attaches to a running job.
-  const bool tool_launches_app =
-      machine_.daemon_placement == machine::DaemonPlacement::kPerIoNode;
-  request.num_app_procs = tool_launches_app ? layout_.num_tasks : 0;
-
-  lmon_->launch(*launcher, request,
-                [&phases](const rm::LaunchReport& report) {
-                  phases.launch = report;
-                });
-  sim_.run();
-  if (!phases.launch.status.is_ok()) {
-    result.status = phases.launch.status;
-    phases.startup_total = sim_.now();
-    return result;
-  }
-  }  // restore_ == nullptr
 
   // MRNet comm processes — the shard machinery included — are spawned
   // serially from the front end, then the whole network instantiates level
-  // by level. Reducers/combiners price their spawn by distinct host
-  // (placement-aware: colocated helpers fork locally after the first
-  // per-host handshake).
-  const std::uint32_t shard_procs = topology.num_shard_procs();
-  phases.connect_time =
-      machine::comm_spawn_time(costs_.launch,
-                               result.num_comm_procs - shard_procs) +
-      machine::reducer_spawn_time(costs_.launch, shard_procs,
-                                  tbon::shard_spawn_hosts(topology)) +
-      tbon::connect_time(topology, costs_.launch);
+  // by level.
+  phases.connect_time = tbon::connect_phase_time(topology, costs_.launch);
   sim_.schedule_in(phases.connect_time, []() {});
   sim_.run();
   phases.startup_total = sim_.now();
@@ -440,7 +390,7 @@ StatRunResult StatScenario::run_impl() {
 
   // --- Phase 2a: SBRS (optional; already done before the checkpoint) -----------
   if (options_.use_sbrs && restore_ == nullptr) {
-    sbrs::Sbrs service(sim_, machine_, layout_, *files_, lmon_->fabric(),
+    sbrs::Sbrs service(sim_, machine_, layout_, *files_, *fabric_,
                        sbrs::SbrsParams{});
     service.relocate(app_->binaries(), [&phases](const sbrs::SbrsReport& report) {
       phases.sbrs_grace = report.grace_time;
@@ -718,12 +668,9 @@ void capture_session_checkpoint(
           static_cast<std::uint64_t>(per_task * static_cast<double>(tasks)));
     }
   } else {
-    std::uint64_t surviving = 0;
-    for (std::uint32_t d = 0; d < layout.num_daemons; ++d) {
-      if (!dead[d]) surviving += layout.tasks_of(DaemonId(d));
-    }
-    cp->shard_payload_bytes.push_back(
-        static_cast<std::uint64_t>(per_task * static_cast<double>(surviving)));
+    cp->shard_payload_bytes.push_back(static_cast<std::uint64_t>(
+        per_task *
+        static_cast<double>(tbon::surviving_task_count(layout, dead))));
   }
 
   ByteSink sink_2d;
@@ -773,23 +720,10 @@ void StatScenario::finalize_trees(const tbon::TbonTopology& topology,
                                   const TaskMap& task_map,
                                   StatRunResult& result) {
   // The optimized representation pays the remap from daemon order to MPI
-  // rank order (0.66 s at 208K tasks). With a sharded front end the reducers
-  // remap their contiguous slices concurrently, so the phase costs the
-  // largest slice instead of the whole job. Either way the remap only
-  // touches ranks that reported — survivors, not the full job.
+  // rank order (0.66 s at 208K tasks), over the ranks that reported.
   if constexpr (std::is_same_v<Label, HierLabel>) {
     PhaseBreakdown& phases = result.phases;
-    if (topology.sharded()) {
-      phases.remap_time = machine::sharded_remap_cost(
-          costs_.merge, tbon::largest_shard_task_count(topology, layout_, dead));
-    } else {
-      std::uint64_t surviving_tasks = 0;
-      for (std::uint32_t d = 0; d < layout_.num_daemons; ++d) {
-        if (!dead[d]) surviving_tasks += layout_.tasks_of(DaemonId(d));
-      }
-      phases.remap_time =
-          machine::frontend_remap_cost(costs_.merge, surviving_tasks);
-    }
+    phases.remap_time = tbon::remap_time(costs_.merge, topology, layout_, dead);
     sim_.schedule_in(phases.remap_time, []() {});
     // The two trees remap independently; overlap them across workers while
     // the modelled remap duration elapses.

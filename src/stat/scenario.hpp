@@ -39,15 +39,7 @@
 
 namespace petastat::stat {
 
-enum class LauncherKind {
-  kMrnetRsh,       // MRNet's ad hoc serial rsh spawner
-  kMrnetSsh,       // same, over ssh
-  kLaunchMon,      // bulk launch through the resource manager
-  kCiodPatched,    // BG/L system software, after the IBM patches
-  kCiodUnpatched,  // BG/L system software, original (quadratic, hangs at 208K)
-};
-
-[[nodiscard]] const char* launcher_kind_name(LauncherKind kind);
+using rm::LauncherKind;
 
 enum class TaskSetRepr {
   kDenseGlobal,    // original: full-job bit vectors on every edge
@@ -384,7 +376,8 @@ class StatScenario {
   std::unique_ptr<fs::FileAccess> files_;
   std::unique_ptr<app::AppModel> app_;
   std::unique_ptr<stackwalker::StackWalker> walker_;
-  std::unique_ptr<launchmon::LaunchMonSession> lmon_;
+  /// The daemons' collective fabric (SBRS broadcasts binaries over it).
+  std::unique_ptr<launchmon::BackEndFabric> fabric_;
 };
 
 }  // namespace petastat::stat

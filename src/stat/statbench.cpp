@@ -76,15 +76,7 @@ StatBenchResult run_with_label(const StatBenchConfig& config,
   result.merge_bytes = bytes;
 
   if constexpr (std::is_same_v<Label, HierLabel>) {
-    if (topology.sharded()) {
-      // Reducers remap their slices concurrently (same pricing as the
-      // scenario's sharded merge).
-      result.remap_time = machine::sharded_remap_cost(
-          costs.merge, tbon::largest_shard_task_count(topology, layout));
-    } else {
-      result.remap_time =
-          machine::frontend_remap_cost(costs.merge, config.virtual_tasks);
-    }
+    result.remap_time = tbon::remap_time(costs.merge, topology, layout);
     // Emulated tasks are generated in rank order, so the identity map is
     // the correct remap (the shuffled case is exercised by the scenario).
     const TaskMap map = TaskMap::identity(layout);

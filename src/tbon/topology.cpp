@@ -598,11 +598,6 @@ std::uint64_t tasks_under(const TbonTopology& topology,
 }  // namespace
 
 std::vector<std::uint64_t> shard_task_counts(
-    const TbonTopology& topology, const machine::DaemonLayout& layout) {
-  return shard_task_counts(topology, layout, {});
-}
-
-std::vector<std::uint64_t> shard_task_counts(
     const TbonTopology& topology, const machine::DaemonLayout& layout,
     const std::vector<bool>& daemon_dead) {
   std::vector<std::uint64_t> counts;
@@ -611,11 +606,6 @@ std::vector<std::uint64_t> shard_task_counts(
     counts.push_back(tasks_under(topology, layout, r, daemon_dead));
   }
   return counts;
-}
-
-std::uint64_t largest_shard_task_count(const TbonTopology& topology,
-                                       const machine::DaemonLayout& layout) {
-  return largest_shard_task_count(topology, layout, {});
 }
 
 std::uint64_t largest_shard_task_count(const TbonTopology& topology,
@@ -648,6 +638,36 @@ SimTime connect_time(const TbonTopology& topology,
     total += fanout * costs.mrnet_connect_per_child;
   }
   return total;
+}
+
+SimTime connect_phase_time(const TbonTopology& topology,
+                           const machine::LaunchCosts& costs) {
+  const std::uint32_t shard_procs = topology.num_shard_procs();
+  return machine::serial_shell_spawn_time(
+             costs, topology.num_comm_procs() - shard_procs) +
+         machine::placed_spawn_time(costs, shard_procs,
+                                    shard_spawn_hosts(topology)) +
+         connect_time(topology, costs);
+}
+
+std::uint64_t surviving_task_count(const machine::DaemonLayout& layout,
+                                   const std::vector<bool>& daemon_dead) {
+  if (daemon_dead.empty()) return layout.num_tasks;
+  std::uint64_t tasks = 0;
+  for (std::uint32_t d = 0; d < layout.num_daemons; ++d) {
+    if (!daemon_dead[d]) tasks += layout.tasks_of(DaemonId(d));
+  }
+  return tasks;
+}
+
+SimTime remap_time(const machine::MergeCosts& costs,
+                   const TbonTopology& topology,
+                   const machine::DaemonLayout& layout,
+                   const std::vector<bool>& daemon_dead) {
+  return machine::frontend_remap_cost(
+      costs, topology.sharded()
+                 ? largest_shard_task_count(topology, layout, daemon_dead)
+                 : surviving_task_count(layout, daemon_dead));
 }
 
 std::uint32_t default_victim(const TbonTopology& topology) {

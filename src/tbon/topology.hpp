@@ -249,39 +249,50 @@ struct DerivedLevels {
         leaf_bytes_of_daemon);
 
 /// Distinct hosts carrying the shard machinery (reducers + combiners) — the
-/// remote-shell handshake count of the spawn burst. Feed it with
-/// TbonTopology::num_shard_procs() to machine::reducer_spawn_time; one
-/// helper for the simulator and the planner, so spawn-locality pricing
-/// cannot drift. 0 when unsharded.
+/// remote-shell handshake count of the spawn burst that
+/// connect_phase_time prices. 0 when unsharded.
 [[nodiscard]] std::uint32_t shard_spawn_hosts(const TbonTopology& topology);
 
 /// Tasks covered by each reducer's shard (daemon-contiguous by
-/// construction), in shard order. Empty when unsharded.
-[[nodiscard]] std::vector<std::uint64_t> shard_task_counts(
-    const TbonTopology& topology, const machine::DaemonLayout& layout);
-
-/// shard_task_counts restricted to surviving daemons: a dead daemon's tasks
-/// are not in anyone's slice. An empty mask means all daemons alive.
+/// construction), in shard order, restricted to surviving daemons: a dead
+/// daemon's tasks are not in anyone's slice. An empty mask means all daemons
+/// alive. Empty when unsharded.
 [[nodiscard]] std::vector<std::uint64_t> shard_task_counts(
     const TbonTopology& topology, const machine::DaemonLayout& layout,
-    const std::vector<bool>& daemon_dead);
+    const std::vector<bool>& daemon_dead = {});
 
-/// Largest shard slice — the critical path of the distributed remap, where
-/// reducers remap their slices concurrently (feed it to
-/// machine::sharded_remap_cost). 0 when unsharded. One helper for the
-/// simulator, the planner, and statbench, so slice pricing cannot drift.
-[[nodiscard]] std::uint64_t largest_shard_task_count(
-    const TbonTopology& topology, const machine::DaemonLayout& layout);
-
-/// largest_shard_task_count restricted to surviving daemons.
+/// Largest surviving shard slice — the critical path of the distributed
+/// remap (remap_time). 0 when unsharded.
 [[nodiscard]] std::uint64_t largest_shard_task_count(
     const TbonTopology& topology, const machine::DaemonLayout& layout,
-    const std::vector<bool>& daemon_dead);
+    const std::vector<bool>& daemon_dead = {});
 
 /// MRNet instantiation time: parents accept and handshake children serially;
 /// levels connect bottom-up but parents within a level work in parallel.
 [[nodiscard]] SimTime connect_time(const TbonTopology& topology,
                                    const machine::LaunchCosts& costs);
+
+/// The whole connect phase of a run's startup: the front end spawns the comm
+/// processes serially, the shard machinery (reducers + combiners)
+/// placement-aware over shard_spawn_hosts, then MRNet instantiates
+/// (connect_time). One formula for the simulator and the planner.
+[[nodiscard]] SimTime connect_phase_time(const TbonTopology& topology,
+                                         const machine::LaunchCosts& costs);
+
+/// Tasks on the daemons not flagged in `daemon_dead` (an empty mask means
+/// all daemons alive).
+[[nodiscard]] std::uint64_t surviving_task_count(
+    const machine::DaemonLayout& layout, const std::vector<bool>& daemon_dead);
+
+/// The hierarchical representation's remap from daemon order to MPI rank
+/// order, over the ranks that reported. A sharded front end's reducers remap
+/// their slices concurrently, so it costs the largest surviving slice;
+/// otherwise the front end remaps every surviving task. One pricer for the
+/// simulator, the planner and statbench.
+[[nodiscard]] SimTime remap_time(const machine::MergeCosts& costs,
+                                 const TbonTopology& topology,
+                                 const machine::DaemonLayout& layout,
+                                 const std::vector<bool>& daemon_dead = {});
 
 /// The deterministic mid-merge casualty of failure injection (--fail-at):
 /// the middle reducer when sharded, else the middle internal comm process,

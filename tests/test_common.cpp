@@ -1,8 +1,10 @@
-// Unit tests for common: strings, stats, RNG, serializer, status.
+// Unit tests for common: strings, stats, RNG, serializer, status, file I/O.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
 
+#include "common/file_io.hpp"
 #include "common/rng.hpp"
 #include "common/serializer.hpp"
 #include "common/stats.hpp"
@@ -303,6 +305,42 @@ TEST(StrongId, DistinctTypesAndHash) {
   EXPECT_FALSE(TaskId::invalid().valid());
   std::set<TaskId> set{TaskId(1), TaskId(2), TaskId(1)};
   EXPECT_EQ(set.size(), 2u);
+}
+
+// --------------------------------------------------------------------------
+// file I/O
+
+TEST(FileIo, WriteThenReadRoundTrips) {
+  const std::string path = ::testing::TempDir() + "file_io_round_trip.bin";
+  const std::string contents("line\n\0binary", 13);
+  ASSERT_TRUE(write_file(path, contents).is_ok());
+  auto read = read_file(path);
+  ASSERT_TRUE(read.is_ok()) << read.status().to_string();
+  EXPECT_EQ(read.value(), contents);
+  std::remove(path.c_str());
+}
+
+// A full device accepts the buffered fwrite and fails the flush at close:
+// the write must still report the failure.
+TEST(FileIo, WriteToFullDeviceFails) {
+  const Status written = write_file("/dev/full", std::string(64, 'x'));
+  EXPECT_EQ(written.code(), StatusCode::kUnavailable);
+  EXPECT_NE(written.message().find("write error"), std::string::npos)
+      << written.message();
+}
+
+TEST(FileIo, MissingFileIsNotFound) {
+  EXPECT_EQ(read_file("/nonexistent/file").status().code(),
+            StatusCode::kNotFound);
+}
+
+// A directory opens but cannot be read: a read error, not an empty file.
+TEST(FileIo, ReadingADirectoryIsAReadError) {
+  auto read = read_file(::testing::TempDir());
+  ASSERT_FALSE(read.is_ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kUnavailable);
+  EXPECT_NE(read.status().message().find("read error"), std::string::npos)
+      << read.status().message();
 }
 
 }  // namespace

@@ -606,6 +606,15 @@ TEST(ServiceTrace, MissingFileIsNotFound) {
   EXPECT_EQ(trace.status().code(), StatusCode::kNotFound);
 }
 
+// A directory is a read error, not an empty (malformed) trace.
+TEST(ServiceTrace, DirectoryIsAReadError) {
+  auto trace = load_service_trace(::testing::TempDir());
+  ASSERT_FALSE(trace.is_ok());
+  EXPECT_EQ(trace.status().code(), StatusCode::kUnavailable);
+  EXPECT_NE(trace.status().message().find("read error"), std::string::npos)
+      << trace.status().message();
+}
+
 // --- CLI flags -------------------------------------------------------------
 
 TEST(ServiceCli, ParsesServiceFlags) {

@@ -5,9 +5,11 @@
 //              --topology bgl2deep --repr hier --format json
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <string_view>
 #include <vector>
 
+#include "common/file_io.hpp"
 #include "common/serializer.hpp"
 #include "service/report.hpp"
 #include "service/scheduler.hpp"
@@ -25,18 +27,11 @@ namespace {
 petastat::Result<std::shared_ptr<const petastat::stat::SessionCheckpoint>>
 load_checkpoint(const std::string& path) {
   using namespace petastat;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return not_found("cannot read checkpoint file " + path);
-  }
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    bytes.insert(bytes.end(), buf, buf + n);
-  }
-  std::fclose(f);
-  ByteSource source(bytes);
+  auto bytes = read_file(path);
+  if (!bytes.is_ok()) return bytes.status();
+  ByteSource source(std::span(
+      reinterpret_cast<const std::uint8_t*>(bytes.value().data()),
+      bytes.value().size()));
   auto decoded = stat::SessionCheckpoint::decode(source);
   if (!decoded.is_ok()) return decoded.status();
   return std::make_shared<const stat::SessionCheckpoint>(
@@ -130,29 +125,27 @@ int main(int argc, char** argv) {
       break;
   }
 
+  // A file that did not reach the disk is exit 3, never "wrote": the
+  // checkpoint is what resumes a vacated session.
+  const auto write = [](const std::string& path, std::string_view contents) {
+    const Status written = write_file(path, contents);
+    if (!written.is_ok()) {
+      std::fprintf(stderr, "error: %s\n", written.to_string().c_str());
+      return false;
+    }
+    std::fprintf(stderr, "wrote %s\n", path.c_str());
+    return true;
+  };
   if (!config.checkpoint_path.empty() && result.checkpoint != nullptr) {
-    if (std::FILE* f = std::fopen(config.checkpoint_path.c_str(), "wb")) {
-      const std::vector<std::uint8_t> bytes = result.checkpoint->encoded();
-      std::fwrite(bytes.data(), 1, bytes.size(), f);
-      std::fclose(f);
-      std::fprintf(stderr, "wrote %s\n", config.checkpoint_path.c_str());
-    } else {
-      std::fprintf(stderr, "error: cannot write %s\n",
-                   config.checkpoint_path.c_str());
+    const std::vector<std::uint8_t> bytes = result.checkpoint->encoded();
+    if (!write(config.checkpoint_path,
+               {reinterpret_cast<const char*>(bytes.data()), bytes.size()})) {
       return 3;
     }
   }
-
-  if (!config.dot_path.empty() && result.status.is_ok()) {
-    if (std::FILE* f = std::fopen(config.dot_path.c_str(), "w")) {
-      const std::string dot = stat::to_dot(result.tree_3d, frames);
-      std::fwrite(dot.data(), 1, dot.size(), f);
-      std::fclose(f);
-      std::fprintf(stderr, "wrote %s\n", config.dot_path.c_str());
-    } else {
-      std::fprintf(stderr, "error: cannot write %s\n", config.dot_path.c_str());
-      return 3;
-    }
+  if (!config.dot_path.empty() && result.status.is_ok() &&
+      !write(config.dot_path, stat::to_dot(result.tree_3d, frames))) {
+    return 3;
   }
   return result.status.is_ok() ? 0 : 1;
 }
