@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
     std::string name;
     Series scratch{"scratch-total"};
     Series resume{"resume-total"};
-    Series size_mb{"checkpoint-MB"};
+    Series size_mb{"checkpoint-MB", "MB"};
   };
   std::vector<MachineTable> tables;
 
@@ -144,7 +144,7 @@ int main(int argc, char** argv) {
       tables.push_back({config.machine_name, {}, {}, {}});
       tables.back().scratch = Series("scratch-total");
       tables.back().resume = Series("resume-total");
-      tables.back().size_mb = Series("checkpoint-MB");
+      tables.back().size_mb = Series("checkpoint-MB", "MB");
     }
     MachineTable& table = tables.back();
     table.scratch.add(config.tasks, point.scratch_s, point.note);

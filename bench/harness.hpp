@@ -26,14 +26,21 @@
 
 namespace petastat::bench {
 
-/// One series of (x = scale, y = seconds) measurements.
+/// The unit of a series of (virtual) seconds, the default.
+inline constexpr const char* kSeconds = "s";
+
+/// One series of (x = scale, y) measurements, y in `unit`: seconds unless
+/// the series says otherwise (a size or a count). tools/bench_compare.py
+/// judges seconds by a relative threshold and every other unit exactly.
 struct Series {
   Series() = default;
-  explicit Series(std::string series_name) : name(std::move(series_name)) {}
+  explicit Series(std::string series_name, std::string series_unit = kSeconds)
+      : name(std::move(series_name)), unit(std::move(series_unit)) {}
 
   std::string name;
+  std::string unit = kSeconds;
   std::vector<double> x;
-  std::vector<double> y;  // seconds; negative = failed at this scale
+  std::vector<double> y;  // negative = failed at this scale
   std::vector<std::string> notes;
 
   void add(double scale, double seconds, std::string note_text = "") {
@@ -44,7 +51,7 @@ struct Series {
 
   /// Copy containing only the successful (y >= 0) points.
   [[nodiscard]] Series successes() const {
-    Series out(name);
+    Series out(name, unit);
     for (std::size_t i = 0; i < x.size(); ++i) {
       if (y[i] >= 0) out.add(x[i], y[i], notes[i]);
     }
@@ -141,7 +148,7 @@ inline void print_table(const std::string& x_label,
       } else if (s.y[row] < 0) {
         std::printf(" %18s", ("FAIL(" + s.notes[row] + ")").c_str());
       } else {
-        std::printf(" %16.3fs ", s.y[row]);
+        std::printf(" %16.3f%-2s", s.y[row], s.unit.c_str());
       }
     }
     std::printf("\n");
@@ -162,9 +169,10 @@ inline stat::StatRunResult run_scenario(const machine::MachineConfig& machine,
 }
 
 /// Serializes the recorded run. Schema (stable for regression tracking):
-/// {figure, caption, notes[], tables[{x_label, series[{name, points[{x, y,
-/// note}]}]}], anchors[{what, paper, measured}], shape_checks[{what, holds}]}
-/// where y < 0 marks a failed point (note holds the status code).
+/// {figure, caption, notes[], tables[{x_label, series[{name, unit, points[{x,
+/// y, note}]}]}], anchors[{what, paper, measured}], shape_checks[{what,
+/// holds}]} where y < 0 marks a failed point (note holds the status code)
+/// and a series of seconds omits its unit.
 inline std::string to_json(const BenchRecord& r) {
   using stat::json_escape;
   std::string out = "{\n";
@@ -183,8 +191,11 @@ inline std::string to_json(const BenchRecord& r) {
     for (std::size_t s = 0; s < table.series.size(); ++s) {
       const Series& series = table.series[s];
       out += (s ? ",\n" : "\n");
-      out += "      {\"name\": \"" + json_escape(series.name) +
-             "\", \"points\": [";
+      out += "      {\"name\": \"" + json_escape(series.name) + "\", ";
+      if (series.unit != kSeconds) {
+        out += "\"unit\": \"" + json_escape(series.unit) + "\", ";
+      }
+      out += "\"points\": [";
       for (std::size_t i = 0; i < series.x.size(); ++i) {
         char point[160];
         std::snprintf(point, sizeof point, "%s{\"x\": %g, \"y\": %.9g",

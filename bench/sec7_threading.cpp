@@ -45,8 +45,8 @@ int main(int argc, char** argv) {
   // 10,240 tasks, sweeping threads per task.
   Series sample("sampling");
   Series merge("merge+remap");
-  Series payload("leaf-KB");
-  Series classes("classes");
+  Series payload("leaf-KB", "KB");
+  Series classes("classes", "count");
   for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
     auto result = run_threads(10240, threads);
     if (!result.status.is_ok()) {
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   const double traces_ratio =
       (10240.0 * 8.0) / (81920.0 * 1.0);
   Series projection_sampling("sampling");
-  Series projection_payload("leaf-KB");
+  Series projection_payload("leaf-KB", "KB");
   const auto add_projection = [&](double tasks, const stat::StatRunResult& run) {
     projection_sampling.add(tasks, to_seconds(run.phases.sample_time));
     projection_payload.add(

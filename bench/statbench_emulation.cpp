@@ -14,9 +14,9 @@ int main(int argc, char** argv) {
   title("STATBench", "emulated merge at virtual scales (BG/L daemon population)");
 
   Series dense("dense");
-  Series dense_bytes("dense-leaf-KB");
+  Series dense_bytes("dense-leaf-KB", "KB");
   Series hier("hier(+remap)");
-  Series hier_bytes("hier-leaf-KB");
+  Series hier_bytes("hier-leaf-KB", "KB");
 
   for (const std::uint64_t tasks :
        {65536ull, 262144ull, 1048576ull, 4194304ull}) {

@@ -127,8 +127,6 @@ void FileAccess::install_redirect(NodeId node, std::string from_prefix,
   redirects_[node].emplace_back(std::move(from_prefix), std::move(to_prefix));
 }
 
-void FileAccess::clear_redirects() { redirects_.clear(); }
-
 std::string FileAccess::redirected_path(NodeId node,
                                         const std::string& path) const {
   const auto it = redirects_.find(node);

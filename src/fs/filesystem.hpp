@@ -179,7 +179,6 @@ class FileAccess {
   /// with `from_prefix` is served from `to_prefix` + suffix instead.
   void install_redirect(NodeId node, std::string from_prefix,
                         std::string to_prefix);
-  void clear_redirects();
 
   /// Full-file read honoring redirects and the node's page cache; returns
   /// the completion time (== now for a warm cache hit).

@@ -39,21 +39,32 @@ double interpolate(const std::vector<std::uint32_t>& xs,
 }
 
 /// Serialization seconds per (tree level, link device) of one priced round,
-/// in one flat open-addressed table sized up front: charging a tree edge's
-/// hops allocates nothing. Each device's seconds are summed in the order
-/// they are charged (edge order), so every level's worst device is
-/// bit-for-bit what a per-level map of sums gives — the maximum does not
-/// depend on iteration order.
+/// in one flat open-addressed table: charging a tree edge's hops allocates
+/// nothing. Each device's seconds are summed in the order they are charged
+/// (edge order), so every level's worst device is bit-for-bit what a
+/// per-level map of sums gives — the maximum depends neither on iteration
+/// order nor on where a key lands in the table. One table serves every
+/// round a thread prices: reset() clears only the slots the last round
+/// touched and grows the storage only when a round needs more room.
 class LevelDeviceSeconds {
  public:
-  /// Room for `max_pairs` distinct (level, device) pairs at half load.
-  LevelDeviceSeconds(std::uint32_t depth, std::size_t max_pairs)
-      : depth_(depth) {
+  /// Empties the table for a round over `depth` levels with room for
+  /// `max_pairs` distinct (level, device) pairs at half load.
+  void reset(std::uint32_t depth, std::size_t max_pairs) {
     check(depth < (1u << kLevelBits), "topology deeper than the level key");
-    std::size_t capacity = 16;
-    while (capacity < 2 * max_pairs) capacity *= 2;
-    keys_.assign(capacity, kEmpty);
-    seconds_.assign(capacity, 0.0);
+    depth_ = depth;
+    capacity_ = 16;
+    while (capacity_ < 2 * max_pairs) capacity_ *= 2;
+    if (capacity_ > keys_.size()) {
+      keys_.assign(capacity_, kEmpty);
+      seconds_.assign(capacity_, 0.0);
+    } else {
+      for (const std::size_t i : touched_) {
+        keys_[i] = kEmpty;
+        seconds_[i] = 0.0;
+      }
+    }
+    touched_.clear();
   }
 
   void add(std::uint32_t level, std::uint64_t device, double s) {
@@ -62,10 +73,10 @@ class LevelDeviceSeconds {
     std::size_t i = ((key * 0x9e3779b97f4a7c15ull) >> 32) & mask;
     while (keys_[i] != key && keys_[i] != kEmpty) i = (i + 1) & mask;
     if (keys_[i] == kEmpty) {
-      ++pairs_;
-      check(2 * pairs_ <= keys_.size(),
+      check(2 * (touched_.size() + 1) <= capacity_,
             "more (level, device) pairs than the table was sized for");
       keys_[i] = key;
+      touched_.push_back(i);
     }
     seconds_[i] += s;
   }
@@ -74,8 +85,7 @@ class LevelDeviceSeconds {
   /// transfer crossed).
   [[nodiscard]] std::vector<double> worst_per_level() const {
     std::vector<double> worst(depth_, 0.0);
-    for (std::size_t i = 0; i < keys_.size(); ++i) {
-      if (keys_[i] == kEmpty) continue;
+    for (const std::size_t i : touched_) {
       double& w = worst[keys_[i] & ((1u << kLevelBits) - 1)];
       w = std::max(w, seconds_[i]);
     }
@@ -86,10 +96,11 @@ class LevelDeviceSeconds {
   static constexpr unsigned kLevelBits = 8;
   static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
 
-  std::uint32_t depth_;
+  std::uint32_t depth_ = 0;
+  std::size_t capacity_ = 0;  // this round's sizing, at most keys_.size()
   std::vector<std::uint64_t> keys_;
   std::vector<double> seconds_;
-  std::size_t pairs_ = 0;
+  std::vector<std::size_t> touched_;  // occupied slots, in insertion order
 };
 
 }  // namespace
@@ -481,8 +492,8 @@ StreamSamplePrediction PhasePredictor::price_round(
   std::vector<LevelCost> levels(topo.depth);
   // A proc's access link is charged on at most two levels (as a child and
   // as a parent), and a trunk on at most every level.
-  LevelDeviceSeconds device_s(topo.depth,
-                              2 * n + graph_.edges().size() * topo.depth);
+  thread_local LevelDeviceSeconds device_s;
+  device_s.reset(topo.depth, 2 * n + graph_.edges().size() * topo.depth);
   net::Route route;  // reused for every edge
   const double msg_overhead_s = to_seconds(graph_.per_message_overhead());
   const double ack_codec_s =

@@ -24,10 +24,6 @@ struct ServerStats {
   SimTime total_wait = 0;      // summed queueing delay (excludes service)
   SimTime max_wait = 0;
   std::uint64_t peak_backlog = 0;  // max requests in queue+service at once
-
-  [[nodiscard]] double mean_wait_seconds() const {
-    return requests ? to_seconds(total_wait) / static_cast<double>(requests) : 0.0;
-  }
 };
 
 /// k identical servers with a shared FIFO queue.

@@ -151,7 +151,6 @@ class PrefixTree {
   [[nodiscard]] bool empty() const { return root_.children.empty(); }
 
   [[nodiscard]] std::size_t node_count() const { return count_nodes(root_) - 1; }
-  [[nodiscard]] std::size_t edge_count() const { return node_count(); }
 
   /// Maximum root-to-leaf depth.
   [[nodiscard]] std::size_t depth() const { return depth_of(root_); }
@@ -162,7 +161,19 @@ class PrefixTree {
   /// arithmetically.
   [[nodiscard]] std::uint64_t wire_bytes(const app::FrameTable& frames,
                                          const LabelContext& ctx) const {
-    return 1 + node_wire_bytes(root_, frames, ctx);
+    return sizes(frames, ctx).wire;
+  }
+
+  struct Sizes {
+    std::uint64_t nodes = 0;
+    std::uint64_t wire = 0;
+  };
+  /// node_count() and wire_bytes() in one walk.
+  [[nodiscard]] Sizes sizes(const app::FrameTable& frames,
+                            const LabelContext& ctx) const {
+    Sizes sizes{0, 1};  // the version byte
+    add_sizes(root_, frames, ctx, sizes);
+    return sizes;
   }
 
   void encode(ByteSink& sink, const app::FrameTable& frames,
@@ -229,16 +240,15 @@ class PrefixTree {
     return d;
   }
 
-  static std::uint64_t node_wire_bytes(const Node& node,
-                                       const app::FrameTable& frames,
-                                       const LabelContext& ctx) {
-    std::uint64_t bytes = 1;  // child count (varint, small in practice)
+  static void add_sizes(const Node& node, const app::FrameTable& frames,
+                        const LabelContext& ctx, Sizes& sizes) {
+    sizes.wire += 1;  // child count (varint, small in practice)
     for (const auto& child : node.children) {
-      bytes += 1 + frames.name(child.frame).size();  // name
-      bytes += child.label.wire_bytes(ctx);
-      bytes += node_wire_bytes(child, frames, ctx);
+      ++sizes.nodes;
+      sizes.wire += 1 + frames.name(child.frame).size();  // name
+      sizes.wire += child.label.wire_bytes(ctx);
+      add_sizes(child, frames, ctx, sizes);
     }
-    return bytes;
   }
 
   static void encode_node(const Node& node, ByteSink& sink,

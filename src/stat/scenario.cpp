@@ -19,12 +19,28 @@ const char* task_set_repr_name(TaskSetRepr repr) {
 namespace {
 constexpr const char* kSharedBase = "/nfs/home/user";
 
-/// The sampling sink folding a daemon pass's traces into its leaf: the
-/// batched StatPayload of the classic merge or a stream round's snapshot.
-template <typename Leaf>
-stackwalker::TraceSink trace_sink(Leaf& leaf, std::uint32_t daemon_id) {
+/// The sampling sink folding a daemon pass's traces into a stream round's
+/// snapshot. Its wire bytes are needed only if it changed, so the
+/// reduction's leaf classification sizes it.
+template <typename Label>
+stackwalker::TraceSink trace_sink(StreamSnapshot<Label>& leaf,
+                                  std::uint32_t daemon_id) {
   return [leaf = &leaf, daemon_id](const app::TraceBatch& batch) {
     fold_batch(*leaf, batch, daemon_id);
+  };
+}
+
+/// The sampling sink of the classic merge: every batched payload is sent
+/// and sized by the receive-buffer check, so it carries both sizes from
+/// the synthesis job on.
+template <typename Label>
+stackwalker::TraceSink trace_sink(StatPayload<Label>& leaf,
+                                  std::uint32_t daemon_id,
+                                  const app::FrameTable& frames,
+                                  LabelContext ctx) {
+  return [leaf = &leaf, daemon_id, &frames, ctx](const app::TraceBatch& batch) {
+    fold_batch(*leaf, batch, daemon_id);
+    leaf->carry_sizes(frames, ctx);
   };
 }
 
@@ -480,13 +496,14 @@ StatRunResult StatScenario::run_impl() {
 
   if (!streaming) {
     // Each daemon folds its traces straight into its own payload.
+    const LabelContext ctx{layout_.num_tasks};
     SimTime sample_end = sample_start;
     for (std::uint32_t d = 0; d < num_daemons; ++d) {
       if (daemon_dead[d]) continue;
       walker_->sample_daemon(
           DaemonId(d), options_.num_samples,
-          dense ? trace_sink(dense_payloads[d], d)
-                : trace_sink(hier_payloads[d], d),
+          dense ? trace_sink(dense_payloads[d], d, app_->frames(), ctx)
+                : trace_sink(hier_payloads[d], d, app_->frames(), ctx),
           [&phases, &sample_end](const stackwalker::SampleReport& report) {
             phases.daemon_sample_seconds.add(to_seconds(report.total()));
             phases.sample_symbol_io_max =
@@ -753,7 +770,7 @@ void StatScenario::run_merge_phase(const tbon::TbonTopology& topology,
       daemon_dead.begin());
   check(first_alive < payloads.size(), "merge phase with every daemon dead");
   phases.leaf_payload_bytes =
-      payload_wire_bytes(payloads[first_alive], frames, ctx);
+      carried_wire_bytes(payloads[first_alive], frames, ctx);
 
   // Receive-buffer viability at every merge root (streaming helps internal
   // comm procs, but the merge root of a flat subtree holds every daemon's
@@ -763,7 +780,7 @@ void StatScenario::run_merge_phase(const tbon::TbonTopology& topology,
       [&](std::uint32_t daemon) -> std::uint64_t {
         return daemon_dead[daemon]
                    ? 0
-                   : payload_wire_bytes(payloads[daemon], frames, ctx);
+                   : carried_wire_bytes(payloads[daemon], frames, ctx);
       });
   if (!phases.merge_status.is_ok()) return;
 

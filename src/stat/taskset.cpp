@@ -49,12 +49,6 @@ TaskSet TaskSet::range(std::uint32_t lo, std::uint32_t hi) {
   return s;
 }
 
-TaskSet TaskSet::from_sorted(std::span<const std::uint32_t> sorted_unique) {
-  TaskSet s;
-  for (const auto v : sorted_unique) s.insert(v);
-  return s;
-}
-
 void TaskSet::insert(std::uint32_t task) { insert_range(task, task); }
 
 void TaskSet::insert_range(std::uint32_t lo, std::uint32_t hi) {

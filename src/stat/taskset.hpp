@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -44,7 +43,6 @@ class TaskSet {
   static TaskSet single(std::uint32_t task);
   /// Contiguous [lo, hi] inclusive.
   static TaskSet range(std::uint32_t lo, std::uint32_t hi);
-  static TaskSet from_sorted(std::span<const std::uint32_t> sorted_unique);
 
   void insert(std::uint32_t task);
   void insert_range(std::uint32_t lo, std::uint32_t hi);

@@ -89,6 +89,11 @@ struct ReduceOps {
   std::function<std::uint64_t(const Payload&)> wire_bytes;
   /// CPU to pack or unpack `bytes` of payload.
   std::function<SimTime(std::uint64_t bytes)> codec_cost;
+  /// Optional: stores in a finished payload the sizes the hooks above read
+  /// of it, so they read them instead of walking the payload again. Called
+  /// on each changed leaf's payload as it is classified (on any executor
+  /// thread) and on each proc's accumulator as it is packed.
+  std::function<void(Payload&)> carry_sizes;
 };
 
 /// ReduceOps plus the streaming-only cost hooks. Built from a plain
@@ -302,15 +307,18 @@ class Reduction {
     }
 
     // Leaves hash their payloads and send deltas, in daemon order. Leaf
-    // packing happens on the daemon's core in parallel across daemons.
-    for (std::uint32_t d = 0; d < topo_.leaf_of_daemon.size(); ++d) {
-      if (dead_daemons_[d]) continue;
+    // packing happens on the daemon's core in parallel across daemons. The
+    // per-daemon work is classified off the simulator thread first; only
+    // the scheduling runs here.
+    const std::vector<LeafClass> leaves = classify_leaves(*round, leaf_payloads);
+    bool any_unchanged = false;
+    for (std::uint32_t d = 0; d < leaves.size(); ++d) {
+      const LeafClass& leaf_class = leaves[d];
+      if (!leaf_class.sends) continue;
       const std::uint32_t leaf = topo_.leaf_of_daemon[d];
-      if (!round->procs[leaf].contributes) continue;
-      Payload payload = std::move(leaf_payloads[d]);
-      const SimTime sig = ops_.signature_cpu ? ops_.signature_cpu(payload) : 0;
-      if (!changed(d, payload)) {
-        sim_.schedule_at(sim_.now() + sig + ops_.ack_cpu,
+      if (!leaf_class.changed) {
+        any_unchanged = true;
+        sim_.schedule_at(sim_.now() + leaf_class.sig + ops_.ack_cpu,
                          [this, round, leaf]() {
                            forward(round, leaf, nullptr, kDeltaAckBytes);
                          });
@@ -318,14 +326,22 @@ class Reduction {
       }
       force_full_daemon_[d] = false;
       ++round->changed_daemons;
-      const std::uint64_t wire =
-          ops_.header_bytes + ops_.base.wire_bytes(payload);
-      const SimTime packed_at = sim_.now() + sig + ops_.base.codec_cost(wire);
-      auto owned = std::make_shared<Payload>(std::move(payload));
+      const std::uint64_t wire = leaf_class.wire;
+      const SimTime packed_at =
+          sim_.now() + leaf_class.sig + ops_.base.codec_cost(wire);
+      auto owned = std::make_shared<Payload>(std::move(leaf_payloads[d]));
       if (retain_ || !one_round_) last_payload_[d] = owned;
       sim_.schedule_at(packed_at, [this, round, leaf, wire, owned]() {
         forward(round, leaf, outgoing(owned), wire);
       });
+    }
+    // What is left are the unchanged payloads, which their baselines stand
+    // in for. With workers, one job frees them while this thread runs the
+    // round; nothing waits on it, since nothing else reads them.
+    if (any_unchanged && executor_ != nullptr && executor_->parallel()) {
+      auto unchanged =
+          std::make_shared<std::vector<Payload>>(std::move(leaf_payloads));
+      (void)executor_->run([unchanged]() mutable { unchanged.reset(); });
     }
   }
 
@@ -446,6 +462,58 @@ class Reduction {
     std::uint32_t cached_procs = 0;
     std::function<void(StreamRoundResult<Payload>)> done;
   };
+
+  /// What a leaf does this round, decided before anything is scheduled.
+  struct LeafClass {
+    bool sends = false;  // alive, under a contributing leaf proc
+    bool changed = false;
+    SimTime sig = 0;         // the signature charge
+    std::uint64_t wire = 0;  // a changed payload's message bytes
+  };
+
+  /// Classifies every daemon's leaf: its signature charge, the change test
+  /// against its baseline, and a changed payload's carried sizes and wire
+  /// bytes. The daemons are independent, so with a parallel executor the
+  /// work runs in daemon-range chunks on the workers (the simulator thread
+  /// takes the first); a chunk writes only its own daemons' entries and
+  /// payloads, and nothing here schedules.
+  [[nodiscard]] std::vector<LeafClass> classify_leaves(
+      const Round& round, std::vector<Payload>& payloads) const {
+    std::vector<LeafClass> leaves(payloads.size());
+    const auto classify = [&](std::size_t begin, std::size_t end) {
+      for (std::size_t d = begin; d < end; ++d) {
+        if (dead_daemons_[d] ||
+            !round.procs[topo_.leaf_of_daemon[d]].contributes) {
+          continue;
+        }
+        LeafClass& leaf = leaves[d];
+        Payload& payload = payloads[d];
+        leaf.sends = true;
+        leaf.sig = ops_.signature_cpu ? ops_.signature_cpu(payload) : 0;
+        leaf.changed = changed(static_cast<std::uint32_t>(d), payload);
+        if (!leaf.changed) continue;
+        if (ops_.base.carry_sizes) ops_.base.carry_sizes(payload);
+        leaf.wire = ops_.header_bytes + ops_.base.wire_bytes(payload);
+      }
+    };
+    const std::size_t n = payloads.size();
+    if (executor_ == nullptr || !executor_->parallel()) {
+      classify(0, n);
+      return leaves;
+    }
+    const std::size_t chunks =
+        std::min<std::size_t>(n, executor_->thread_count());
+    std::vector<sim::Executor::TaskRef> tasks;
+    tasks.reserve(chunks);
+    for (std::size_t c = 1; c < chunks; ++c) {
+      tasks.push_back(executor_->run([&classify, c, chunks, n]() {
+        classify(c * n / chunks, (c + 1) * n / chunks);
+      }));
+    }
+    classify(0, n / chunks);
+    for (const sim::Executor::TaskRef& task : tasks) executor_->wait(task);
+    return leaves;
+  }
 
   /// What a message carries of a retained payload. Multi-round receivers
   /// only read what they are sent, so the payload itself travels; the
@@ -676,6 +744,7 @@ class Reduction {
       if (!live()) return;
       RoundProc& finished = round->procs[proc_index];
       if (executor_) executor_->wait(caches_[proc_index].last_merge);
+      if (ops_.base.carry_sizes) ops_.base.carry_sizes(finished.acc);
       const std::uint64_t wire = ops_.base.wire_bytes(finished.acc) +
                                  (finished.parent < 0 ? 0 : ops_.header_bytes);
       const auto send = [this, round, proc_index, wire, live]() {

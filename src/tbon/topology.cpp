@@ -271,6 +271,9 @@ Result<TbonTopology> build_topology(const machine::MachineConfig& machine,
   // Internal levels actually built: the spec's own, plus the synthetic
   // reducer level of a sharded front end.
   topo.depth = static_cast<std::uint32_t>(widths.size()) + 1;
+  // Every proc up front: growing the vector would copy each Proc with its
+  // children list on every reallocation.
+  topo.procs.reserve(1 + std::size_t{total_comm} + layout.num_daemons);
 
   // Front end.
   TbonTopology::Proc fe;

@@ -284,17 +284,254 @@ TEST(GroupedFold, GroupsEveryDistinctPathOnceInFirstAppearanceOrder) {
       batch.append(TaskId(local), local, sample, std::span(&frame, 1));
     }
   }
-  const PathGroups groups(batch);
+  PathGroups groups(batch);
   ASSERT_EQ(groups.size(), 1000u);
   for (std::uint32_t g = 0; g < 1000; ++g) {
     ASSERT_EQ(groups.path(g).size(), 1u);
     EXPECT_EQ(groups.path(g)[0], FrameId(g));
     EXPECT_EQ(groups.visits(g, PathGroups::Samples::kFirst), 2u);
     EXPECT_EQ(groups.visits(g, PathGroups::Samples::kAll), 3u);
-    const HierLabel label = groups.hier_label(g, PathGroups::Samples::kAll, 5);
+    const HierLabel label =
+        groups.hier_label(std::span(&g, 1), PathGroups::Samples::kAll, 5);
     const std::vector<std::uint32_t> bounds{g, g, g + 1000, g + 1000};
     EXPECT_EQ(label.tasks, HierTaskSet::block(5, bounds));
   }
+}
+
+// --- The trie build, case by case: hand-built passes -----------------------
+
+/// A pass over hand-picked paths: trace (local, sample, path); the task is
+/// `task_of(local)`.
+struct HandPass {
+  app::FrameTable frames;
+  app::TraceBatch batch;
+  std::function<TaskId(std::uint32_t local)> task_of = [](std::uint32_t t) {
+    return TaskId(t);
+  };
+
+  void add(std::uint32_t local, std::uint32_t sample,
+           std::initializer_list<std::string_view> names) {
+    const app::CallPath path = frames.make_path(names);
+    batch.append(task_of(local), local, sample, path);
+  }
+};
+
+/// The per-trace reference for a hand-built batch, in batch order.
+template <typename Leaf>
+void fold_reference(Leaf& leaf, const app::TraceBatch& batch,
+                    std::uint32_t daemon) {
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const app::TraceBatch::Trace& trace = batch.trace(i);
+    const std::span<const FrameId> path = batch.path(i);
+    insert_trace(leaf, app::CallPath(path.begin(), path.end()), daemon,
+                 trace.local_index, trace.task, trace.sample);
+  }
+}
+
+std::uint64_t fresh_nodes(const StatPayload<GlobalLabel>& p) {
+  return p.tree_2d.node_count() + p.tree_3d.node_count();
+}
+std::uint64_t fresh_nodes(const StatPayload<HierLabel>& p) {
+  return p.tree_2d.node_count() + p.tree_3d.node_count();
+}
+template <typename Label>
+std::uint64_t fresh_nodes(const StreamSnapshot<Label>& s) {
+  return s.tree.node_count();
+}
+template <typename Label>
+bool same_trees(const StatPayload<Label>& a, const StatPayload<Label>& b) {
+  return a.tree_2d == b.tree_2d && a.tree_3d == b.tree_3d;
+}
+template <typename Label>
+bool same_trees(const StreamSnapshot<Label>& a, const StreamSnapshot<Label>& b) {
+  return a == b;
+}
+template <typename Label>
+std::uint64_t fresh_wire(const StatPayload<Label>& p,
+                         const app::FrameTable& frames,
+                         const LabelContext& ctx) {
+  return payload_wire_bytes(p, frames, ctx);
+}
+template <typename Label>
+std::uint64_t fresh_wire(const StreamSnapshot<Label>& s,
+                         const app::FrameTable& frames,
+                         const LabelContext& ctx) {
+  return snapshot_wire_bytes(s, frames, ctx);
+}
+
+/// Folds `passes` one after another into one leaf of each type, grouped
+/// and per trace, and checks trees, wire bytes and the carried node count.
+template <typename Leaf>
+void expect_passes_fold_like_reference(
+    const std::vector<const HandPass*>& passes, std::uint32_t daemon,
+    const LabelContext& ctx) {
+  Leaf grouped, reference;
+  for (const HandPass* pass : passes) {
+    fold_batch(grouped, pass->batch, daemon);
+    fold_reference(reference, pass->batch, daemon);
+    EXPECT_TRUE(same_trees(grouped, reference));
+    EXPECT_EQ(grouped.sizes.nodes, fresh_nodes(grouped));
+    EXPECT_EQ(grouped.sizes.wire, CarriedSizes::kUnknown);
+  }
+  const app::FrameTable& frames = passes.back()->frames;  // every name
+  EXPECT_EQ(fresh_wire(grouped, frames, ctx), fresh_wire(reference, frames, ctx));
+}
+
+template <typename Label>
+void expect_pass_folds_like_reference(const HandPass& pass,
+                                      std::uint32_t daemon = 3) {
+  const LabelContext ctx{1024};
+  expect_passes_fold_like_reference<StatPayload<Label>>({&pass}, daemon, ctx);
+  expect_passes_fold_like_reference<StreamSnapshot<Label>>({&pass}, daemon,
+                                                           ctx);
+}
+
+TEST(GroupedFold, PathThatIsAStrictPrefixOfAnother) {
+  // "a b" ends where "a b c" and "a b d" continue, and "a" ends above them:
+  // the shorter paths sort first and label the shared nodes without
+  // adding children of their own.
+  HandPass pass;
+  pass.add(0, 0, {"a", "b", "c"});
+  pass.add(1, 0, {"a", "b"});
+  pass.add(2, 0, {"a"});
+  pass.add(3, 0, {"a", "b", "d"});
+  pass.add(1, 1, {"a", "b", "c"});
+  pass.add(2, 1, {"a", "b"});
+  expect_pass_folds_like_reference<GlobalLabel>(pass);
+  expect_pass_folds_like_reference<HierLabel>(pass);
+
+  StatPayload<HierLabel> payload;
+  fold_batch(payload, pass.batch, 3);
+  const auto& a = payload.tree_3d.root().children.at(0);
+  ASSERT_EQ(a.children.size(), 1u);  // b
+  EXPECT_EQ(a.label.visits, 6u);
+  EXPECT_EQ(a.children[0].label.visits, 5u);
+  EXPECT_EQ(a.children[0].children.size(), 2u);  // c, d
+  EXPECT_EQ(a.children[0].children.capacity(), 2u);  // reserved exactly
+}
+
+TEST(GroupedFold, GroupAbsentFromSampleZero) {
+  // "a x" is walked only in sample 1: the 3D tree holds it, the 2D tree
+  // must not even hold the node.
+  HandPass pass;
+  pass.add(0, 0, {"a", "b"});
+  pass.add(1, 0, {"a", "b"});
+  pass.add(0, 1, {"a", "x"});
+  pass.add(1, 1, {"a", "b"});
+  expect_pass_folds_like_reference<GlobalLabel>(pass);
+  expect_pass_folds_like_reference<HierLabel>(pass);
+
+  StatPayload<GlobalLabel> payload;
+  fold_batch(payload, pass.batch, 0);
+  EXPECT_EQ(payload.tree_2d.node_count(), 2u);  // a, b
+  EXPECT_EQ(payload.tree_3d.node_count(), 3u);  // a, b, x
+}
+
+TEST(GroupedFold, TwoPassesFoldIntoOneNonEmptyPayload) {
+  // The second pass lands on existing nodes (merged labels), adds a child
+  // under an existing node out of frame order, and starts a new branch.
+  HandPass first;
+  first.add(0, 0, {"main", "work", "mpi_wait"});
+  first.add(1, 0, {"main", "work", "compute"});
+  HandPass second;
+  second.frames = first.frames;  // same ids for the shared names
+  second.add(2, 1, {"main", "work", "compute"});
+  second.add(3, 1, {"main", "work", "barrier"});
+  second.add(0, 1, {"main", "io"});
+  second.add(1, 1, {"_start"});
+  const LabelContext ctx{1024};
+  expect_passes_fold_like_reference<StatPayload<GlobalLabel>>(
+      {&first, &second}, 5, ctx);
+  expect_passes_fold_like_reference<StatPayload<HierLabel>>({&first, &second},
+                                                            5, ctx);
+  expect_passes_fold_like_reference<StreamSnapshot<HierLabel>>(
+      {&first, &second}, 5, ctx);
+  expect_passes_fold_like_reference<StreamSnapshot<GlobalLabel>>(
+      {&first, &second}, 5, ctx);
+}
+
+TEST(GroupedFold, DenseLabelsWithANonMonotoneResolver) {
+  // Locals 0..5 resolve to ranks 105, 104, ..., 100 (descending), and
+  // locals 6, 7 to 40 and 300: one run of locals spans rank order both
+  // ways, so the label must be sorted before it is built.
+  HandPass pass;
+  pass.task_of = [](std::uint32_t t) {
+    return t < 6 ? TaskId(105 - t) : TaskId(t == 6 ? 40 : 300);
+  };
+  for (std::uint32_t local = 0; local < 8; ++local) {
+    pass.add(local, 0, {"main", local % 2 == 0 ? "even" : "odd"});
+  }
+  expect_pass_folds_like_reference<GlobalLabel>(pass);
+
+  StreamSnapshot<GlobalLabel> snapshot;
+  fold_batch(snapshot, pass.batch, 0);
+  const auto& main = snapshot.tree.root().children.at(0);
+  const std::vector<TaskSet::Interval> expected{{40, 40}, {100, 105},
+                                                {300, 300}};
+  EXPECT_EQ(main.label.tasks.intervals(), expected);
+  EXPECT_EQ(main.label.tasks.intervals().capacity(), 3u);  // exact size
+  EXPECT_EQ(main.label.visits, 8u);
+}
+
+TEST(GroupedFold, CarriedSizesEqualFreshWalks) {
+  HandPass pass;
+  pass.add(0, 0, {"main", "work", "mpi_wait"});
+  pass.add(1, 0, {"main", "work", "compute"});
+  pass.add(1, 1, {"main", "io"});
+  const LabelContext ctx{4096};
+  app::FrameTable& frames = pass.frames;
+
+  // fold_batch carries the node count; carry_sizes adds the wire bytes.
+  StatPayload<HierLabel> payload;
+  fold_batch(payload, pass.batch, 2);
+  EXPECT_EQ(payload.sizes.nodes, fresh_nodes(payload));
+  payload.carry_sizes(frames, ctx);
+  EXPECT_EQ(payload.sizes.nodes, fresh_nodes(payload));
+  EXPECT_EQ(payload.sizes.wire, payload_wire_bytes(payload, frames, ctx));
+  EXPECT_EQ(carried_wire_bytes(payload, frames, ctx),
+            payload_wire_bytes(payload, frames, ctx));
+
+  // Every change through the payload clears them; node_count() and the
+  // pricers then walk again.
+  StatPayload<HierLabel> other;
+  fold_batch(other, pass.batch, 7);
+  other.carry_sizes(frames, ctx);
+  payload.merge(other);
+  EXPECT_EQ(payload.sizes.nodes, CarriedSizes::kUnknown);
+  EXPECT_EQ(payload.sizes.wire, CarriedSizes::kUnknown);
+  EXPECT_EQ(payload.node_count(), fresh_nodes(payload));
+  payload.carry_sizes(frames, ctx);
+  EXPECT_EQ(payload.sizes.wire, payload_wire_bytes(payload, frames, ctx));
+  insert_trace(payload, frames.make_path({"main", "new"}), 9, 0, TaskId(0), 0);
+  EXPECT_EQ(payload.sizes.nodes, CarriedSizes::kUnknown);
+  EXPECT_EQ(payload.node_count(), fresh_nodes(payload));
+  EXPECT_EQ(carried_wire_bytes(payload, frames, ctx),
+            payload_wire_bytes(payload, frames, ctx));
+
+  // The same for a snapshot, whose operator== ignores what it carries.
+  StreamSnapshot<GlobalLabel> sized, unsized;
+  fold_batch(sized, pass.batch, 2);
+  fold_reference(unsized, pass.batch, 2);
+  sized.carry_sizes(frames, ctx);
+  EXPECT_EQ(sized.sizes.nodes, fresh_nodes(sized));
+  EXPECT_EQ(sized.sizes.wire, snapshot_wire_bytes(sized, frames, ctx));
+  EXPECT_EQ(unsized.sizes.wire, CarriedSizes::kUnknown);
+  EXPECT_TRUE(sized == unsized);
+  sized.merge(unsized);
+  EXPECT_EQ(sized.sizes.wire, CarriedSizes::kUnknown);
+  EXPECT_EQ(sized.node_count(), fresh_nodes(sized));
+
+  // The engine's pricers agree with fresh walks whether or not a payload
+  // carries its sizes.
+  const machine::MergeCosts costs;
+  const machine::StreamCosts stream;
+  const auto ops = make_stream_ops<GlobalLabel>(costs, stream, frames, ctx);
+  StreamSnapshot<GlobalLabel> carried = unsized;
+  ops.base.carry_sizes(carried);
+  EXPECT_EQ(ops.base.wire_bytes(carried), ops.base.wire_bytes(unsized));
+  EXPECT_EQ(ops.base.merge_cpu(carried), ops.base.merge_cpu(unsized));
+  EXPECT_EQ(ops.cached_merge_cpu(carried), ops.cached_merge_cpu(unsized));
+  EXPECT_EQ(ops.signature_cpu(carried), ops.signature_cpu(unsized));
 }
 
 TEST(GroupedFold, WorkerSideFoldMatchesSerialScenario) {

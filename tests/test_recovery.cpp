@@ -690,6 +690,52 @@ TEST(ScenarioRecovery, MidStreamInternalKillRecoversWithNoLoss) {
   expect_same_product(killed, remerge);
 }
 
+TEST(ScenarioRecovery, MidStreamKillIsIdenticalAtOneAndFourExecThreads) {
+  // The reduction classifies its leaves (signature, change test, sizes) in
+  // daemon-range chunks on the executor and frees unchanged payloads there;
+  // a drift stream with a mid-stream kill must not see the difference: the
+  // trees and every per-round statistic match the serial run exactly.
+  machine::JobConfig job;
+  job.num_tasks = 1024;  // 128 daemons: several chunks per round
+  stat::StatOptions options = streaming_options();
+  options.fail_at_seconds = 0.15;
+  options.ping_period_seconds = 0.05;
+  const auto run = [&](std::uint32_t threads) {
+    options.exec_threads = threads;
+    return stat::StatScenario(machine::atlas(), job, options).run();
+  };
+  const stat::StatRunResult serial = run(1);
+  const stat::StatRunResult parallel = run(4);
+  ASSERT_TRUE(serial.status.is_ok()) << serial.status.to_string();
+  ASSERT_TRUE(parallel.status.is_ok()) << parallel.status.to_string();
+  EXPECT_EQ(serial.phases.killed_procs, 1u);
+  EXPECT_GT(serial.phases.orphaned_daemons, 0u);
+  expect_same_product(serial, parallel);
+  EXPECT_EQ(serial.phases.merge_time, parallel.phases.merge_time);
+  EXPECT_EQ(serial.phases.merge_bytes, parallel.phases.merge_bytes);
+  EXPECT_EQ(serial.phases.orphaned_daemons, parallel.phases.orphaned_daemons);
+  ASSERT_EQ(serial.stream_samples.size(), 6u);
+  ASSERT_EQ(parallel.stream_samples.size(), 6u);
+  bool some_round_unchanged_somewhere = false;
+  for (std::size_t round = 0; round < serial.stream_samples.size(); ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const stat::StreamSampleStats& s = serial.stream_samples[round];
+    const stat::StreamSampleStats& p = parallel.stream_samples[round];
+    EXPECT_EQ(s.sample, p.sample);
+    EXPECT_EQ(s.sample_time, p.sample_time);
+    EXPECT_EQ(s.merge_time, p.merge_time);
+    EXPECT_EQ(s.merge_bytes, p.merge_bytes);
+    EXPECT_EQ(s.merge_messages, p.merge_messages);
+    EXPECT_EQ(s.changed_daemons, p.changed_daemons);
+    EXPECT_EQ(s.remerged_procs, p.remerged_procs);
+    EXPECT_EQ(s.cached_procs, p.cached_procs);
+    EXPECT_EQ(s.changed, p.changed);
+    if (s.changed_daemons < 128) some_round_unchanged_somewhere = true;
+  }
+  // The delta protocol was exercised: some daemons acknowledged.
+  EXPECT_TRUE(some_round_unchanged_somewhere);
+}
+
 TEST(ScenarioRecovery, MidStreamInternalKillMatchesTheNeverKilledRun) {
   // The round the victim dies in still carries its subtree's samples: the
   // orphans' payloads are re-sent to adopters in that same round, so a kill

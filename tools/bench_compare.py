@@ -2,11 +2,13 @@
 """Diff fresh bench --json output against committed BENCH_*.json baselines.
 
 The figure-reproduction benches emit a stable-schema JSON record (see
-bench/harness.hpp): tables of (x, y-seconds) series plus named shape checks.
-This gate fails when a measured point regresses by more than the threshold
-(slower), when a point that used to succeed now fails, or when a shape check
-that used to hold no longer does. Faster-than-baseline points are reported
-but never fail the gate.
+bench/harness.hpp): tables of (x, y) series plus named shape checks. A
+series' y is in seconds unless it names another unit ("unit": "KB", "count",
+...). This gate fails when a point of seconds regresses by more than the
+threshold (slower), when a point of any other unit changes at all, when a
+point that used to succeed now fails, or when a shape check that used to
+hold no longer does. Faster-than-baseline seconds are reported but never
+fail the gate.
 
 Usage:
   bench_compare.py BASELINE FRESH [--threshold 0.10]
@@ -34,15 +36,19 @@ def load(path):
         sys.exit(f"error: cannot read {path}: {error}")
 
 
+SECONDS = "s"
+
+
 def index_series(record):
-    """(table_index, series_name) -> {x: (y, note)}."""
+    """(table_index, series_name) -> (unit, {x: (y, note)})."""
     out = {}
     for t_index, table in enumerate(record.get("tables", [])):
         for series in table.get("series", []):
             points = {}
             for point in series.get("points", []):
                 points[point["x"]] = (point["y"], point.get("note", ""))
-            out[(t_index, series["name"])] = points
+            out[(t_index, series["name"])] = (series.get("unit", SECONDS),
+                                              points)
     return out
 
 
@@ -53,11 +59,15 @@ def compare_record(name, baseline, fresh, threshold):
 
     base_series = index_series(baseline)
     fresh_series = index_series(fresh)
-    for key, base_points in base_series.items():
+    for key, (unit, base_points) in base_series.items():
         if key not in fresh_series:
             regressions.append(f"{name}: series {key[1]!r} disappeared")
             continue
-        fresh_points = fresh_series[key]
+        fresh_unit, fresh_points = fresh_series[key]
+        if fresh_unit != unit:
+            regressions.append(f"{name}: {key[1]} changed unit "
+                               f"{unit!r} -> {fresh_unit!r}")
+            continue
         for x, (base_y, _) in sorted(base_points.items()):
             if x not in fresh_points:
                 regressions.append(
@@ -65,11 +75,17 @@ def compare_record(name, baseline, fresh, threshold):
                 continue
             fresh_y, fresh_note = fresh_points[x]
             if base_y < 0 and fresh_y >= 0:
-                notes.append(
-                    f"{name}: {key[1]} @ {x:g} now succeeds ({fresh_y:.3f}s)")
+                notes.append(f"{name}: {key[1]} @ {x:g} now succeeds "
+                             f"({fresh_y:g} {unit})")
             elif base_y >= 0 and fresh_y < 0:
                 regressions.append(
                     f"{name}: {key[1]} @ {x:g} now FAILS ({fresh_note})")
+            elif unit != SECONDS:
+                # Sizes and counts are deterministic: any change is one.
+                if fresh_y != base_y:
+                    regressions.append(
+                        f"{name}: {key[1]} @ {x:g} changed "
+                        f"{base_y:g} {unit} -> {fresh_y:g} {unit}")
             elif base_y >= ABSOLUTE_FLOOR_SECONDS:
                 ratio = fresh_y / base_y
                 if ratio > 1.0 + threshold:
@@ -121,7 +137,8 @@ def main():
     parser.add_argument("baseline", help="baseline JSON file or directory")
     parser.add_argument("fresh", help="fresh JSON file or directory")
     parser.add_argument("--threshold", type=float, default=0.10,
-                        help="relative regression tolerance (default 0.10)")
+                        help="relative regression tolerance for seconds "
+                        "(default 0.10)")
     args = parser.parse_args()
 
     all_regressions = []
