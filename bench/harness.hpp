@@ -198,7 +198,7 @@ inline std::string to_json(const BenchRecord& r) {
       out += "\"points\": [";
       for (std::size_t i = 0; i < series.x.size(); ++i) {
         char point[160];
-        std::snprintf(point, sizeof point, "%s{\"x\": %g, \"y\": %.9g",
+        std::snprintf(point, sizeof point, "%s{\"x\": %.9g, \"y\": %.9g",
                       i ? ", " : "", series.x[i], series.y[i]);
         out += point;
         if (!series.notes[i].empty()) {

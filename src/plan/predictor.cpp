@@ -115,21 +115,6 @@ double WorkloadProfile::tree_nodes_for(double daemons) const {
 
 namespace {
 
-// Wire bytes of the two probe leaf types: one daemon's batched 2D+3D
-// payload over every sample, and its single-sample stream snapshot.
-template <typename Label>
-std::uint64_t leaf_wire_bytes(const stat::StatPayload<Label>& payload,
-                              const app::FrameTable& frames,
-                              const stat::LabelContext& ctx) {
-  return stat::payload_wire_bytes(payload, frames, ctx);
-}
-template <typename Label>
-std::uint64_t leaf_wire_bytes(const stat::StreamSnapshot<Label>& snapshot,
-                              const app::FrameTable& frames,
-                              const stat::LabelContext& ctx) {
-  return stat::snapshot_wire_bytes(snapshot, frames, ctx);
-}
-
 /// Synthesizes the first 1, 2, 4, 8 daemons' leaves (capped at the job
 /// size) exactly as the scenario's sampling sinks would — enough to see
 /// whether payloads grow with the subtree (hier) or saturate (dense).
@@ -168,14 +153,16 @@ void probe_leaves(const app::AppModel& app, const machine::DaemonLayout& layout,
       traces += batch.size();
       Leaf leaf;
       stat::fold_batch(leaf, batch, d);
-      leaf_bytes_sum += static_cast<double>(leaf_wire_bytes(leaf, frames, ctx));
+      // A probe leaf carries no wire size: this is the fresh walk.
+      leaf_bytes_sum +=
+          static_cast<double>(stat::carried_wire_bytes(leaf, frames, ctx));
       leaf_nodes_sum += static_cast<double>(leaf.node_count());
       merged.merge(leaf);
     }
     merged_daemons = k;
     profile.probe_counts.push_back(k);
     profile.merged_payload_bytes.push_back(
-        static_cast<double>(leaf_wire_bytes(merged, frames, ctx)));
+        static_cast<double>(stat::carried_wire_bytes(merged, frames, ctx)));
     profile.merged_tree_nodes.push_back(
         static_cast<double>(merged.node_count()));
   }

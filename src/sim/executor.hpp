@@ -18,33 +18,46 @@
 // Because submission order, strand order, and wait points are all decided by
 // the deterministic event loop, results are bit-identical to a serial run.
 //
-// An Executor constructed with threads <= 1 has no pool: run() executes the
-// work immediately on the calling thread and returns a null (already-done)
-// task, which is exactly the historical serial behaviour.
+// A parallel Executor owns its workers directly: one mutex-guarded FIFO of
+// tasks, one condition variable for idle workers and one for waiters. A run
+// posts a few tens of thousands of tasks from one thread, so the single lock
+// is nowhere near contended. Workers take tasks in submission order but
+// finish them in any order; nothing depends on completion order, only on the
+// one guarantee that after wait(task) returns, the task's side effects are
+// visible to the caller.
+//
+// An Executor constructed with threads <= 1 has no workers: run() executes
+// the work immediately on the calling thread and returns a null
+// (already-done) task, which is exactly the historical serial behaviour.
 #pragma once
 
+#include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
-
-#include "common/thread_pool.hpp"
+#include <thread>
+#include <vector>
 
 namespace petastat::sim {
 
 class Executor {
+  struct Task;
+
  public:
-  using TaskRef = ThreadPool::TaskRef;  // nullptr == already done (inline)
+  using TaskRef = std::shared_ptr<Task>;  // nullptr == already done (inline)
 
   /// threads <= 1: inline (serial) mode, no worker threads are spawned.
   explicit Executor(unsigned threads = 1);
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
+  /// Runs everything submitted so far, then joins the workers.
   ~Executor();
 
-  [[nodiscard]] bool parallel() const { return pool_ != nullptr; }
+  [[nodiscard]] bool parallel() const { return !workers_.empty(); }
   [[nodiscard]] unsigned thread_count() const {
-    return pool_ ? pool_->thread_count() : 1;
+    return parallel() ? static_cast<unsigned>(workers_.size()) : 1;
   }
 
   /// Submits independent work to any worker (inline mode: runs it now).
@@ -61,7 +74,7 @@ class Executor {
   /// with each other (they share mutable state, e.g. a reduction
   /// accumulator), but different strands run in parallel. Submission order
   /// is execution order. The queue state is co-owned by the in-flight pump
-  /// job, so a Strand may be destroyed as soon as its last item's wait()
+  /// task, so a Strand may be destroyed as soon as its last item's wait()
   /// returns — the pump's final empty-check does not touch the Strand
   /// object. The Executor must outlive the pump (wait_all()/~Executor
   /// guarantee it).
@@ -80,14 +93,26 @@ class Executor {
       std::deque<TaskRef> pending;
       bool running = false;
     };
-    static void pump(ThreadPool& pool, const std::shared_ptr<Queue>& queue);
+    static void pump(Executor& executor, const std::shared_ptr<Queue>& queue);
 
     Executor& executor_;
     std::shared_ptr<Queue> queue_;
   };
 
  private:
-  std::unique_ptr<ThreadPool> pool_;
+  /// Queues `task` for any worker.
+  void post(TaskRef task);
+  /// Runs `task` on the calling worker, marks it done and wakes waiters.
+  void finish(Task& task);
+  void worker_loop();
+
+  std::mutex mutex_;
+  std::condition_variable work_cv_;  // workers wait for a task or the stop
+  std::condition_variable done_cv_;  // waiters wait for a task or idleness
+  std::deque<TaskRef> tasks_;
+  std::uint64_t in_flight_ = 0;  // posted tasks not yet finished
+  bool stopping_ = false;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace petastat::sim

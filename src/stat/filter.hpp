@@ -178,6 +178,33 @@ inline std::uint64_t nodes_after_fold(bool was_empty, std::uint64_t before,
   return before == CarriedSizes::kUnknown ? before : before + created;
 }
 
+/// The five ReduceOps hooks, one formulation for both payload types (the
+/// batched StatPayload and the per-round StreamSnapshot): each is priced
+/// from the sizes the payload carries, or a fresh walk when it carries none.
+template <typename Payload>
+[[nodiscard]] tbon::ReduceOps<Payload> make_reduce_ops(
+    const machine::MergeCosts& costs, const app::FrameTable& frames,
+    const LabelContext& ctx) {
+  tbon::ReduceOps<Payload> ops;
+  ops.wire_bytes = [&frames, ctx](const Payload& payload) {
+    return carried_wire_bytes(payload, frames, ctx);
+  };
+  ops.codec_cost = [costs](std::uint64_t bytes) {
+    return machine::packet_codec_cost(costs, bytes);
+  };
+  // The modelled cost depends on the incoming payload only (streaming
+  // filters charge per arrival), which lets the real merge run on a worker.
+  ops.merge_cpu = [costs, &frames, ctx](const Payload& child) {
+    return machine::filter_merge_cost(costs, child.node_count(),
+                                      carried_wire_bytes(child, frames, ctx));
+  };
+  ops.merge_into = [](Payload& acc, Payload&& child) { acc.merge(child); };
+  ops.carry_sizes = [&frames, ctx](Payload& payload) {
+    payload.carry_sizes(frames, ctx);
+  };
+  return ops;
+}
+
 }  // namespace detail
 
 /// The grouped fold: folds one daemon pass's traces into its payload as a
@@ -228,26 +255,7 @@ template <typename Label>
 [[nodiscard]] tbon::ReduceOps<StatPayload<Label>> make_stat_reduce_ops(
     const machine::MergeCosts& costs, const app::FrameTable& frames,
     const LabelContext& ctx) {
-  tbon::ReduceOps<StatPayload<Label>> ops;
-  ops.wire_bytes = [&frames, ctx](const StatPayload<Label>& payload) {
-    return carried_wire_bytes(payload, frames, ctx);
-  };
-  ops.codec_cost = [costs](std::uint64_t bytes) {
-    return machine::packet_codec_cost(costs, bytes);
-  };
-  // The modelled cost depends on the incoming payload only (streaming
-  // filters charge per arrival), which lets the real merge run on a worker.
-  ops.merge_cpu = [costs, &frames, ctx](const StatPayload<Label>& child) {
-    return machine::filter_merge_cost(costs, child.node_count(),
-                                      carried_wire_bytes(child, frames, ctx));
-  };
-  ops.merge_into = [](StatPayload<Label>& acc, StatPayload<Label>&& child) {
-    acc.merge(child);
-  };
-  ops.carry_sizes = [&frames, ctx](StatPayload<Label>& payload) {
-    payload.carry_sizes(frames, ctx);
-  };
-  return ops;
+  return detail::make_reduce_ops<StatPayload<Label>>(costs, frames, ctx);
 }
 
 /// One streaming round's payload: the per-sample snapshot tree. The front
@@ -338,24 +346,7 @@ template <typename Label>
     const machine::MergeCosts& merge, const machine::StreamCosts& stream,
     const app::FrameTable& frames, const LabelContext& ctx) {
   tbon::StreamOps<StreamSnapshot<Label>> ops;
-  ops.base.wire_bytes = [&frames, ctx](const StreamSnapshot<Label>& snapshot) {
-    return carried_wire_bytes(snapshot, frames, ctx);
-  };
-  ops.base.codec_cost = [merge](std::uint64_t bytes) {
-    return machine::packet_codec_cost(merge, bytes);
-  };
-  ops.base.merge_cpu = [merge, &frames, ctx](
-                           const StreamSnapshot<Label>& child) {
-    return machine::filter_merge_cost(merge, child.node_count(),
-                                      carried_wire_bytes(child, frames, ctx));
-  };
-  ops.base.merge_into = [](StreamSnapshot<Label>& acc,
-                           StreamSnapshot<Label>&& child) {
-    acc.merge(child);
-  };
-  ops.base.carry_sizes = [&frames, ctx](StreamSnapshot<Label>& snapshot) {
-    snapshot.carry_sizes(frames, ctx);
-  };
+  ops.base = detail::make_reduce_ops<StreamSnapshot<Label>>(merge, frames, ctx);
   ops.signature_cpu = [stream](const StreamSnapshot<Label>& snapshot) {
     return machine::signature_cost(stream, snapshot.node_count());
   };

@@ -242,10 +242,11 @@ class PrefixTree {
 
   static void add_sizes(const Node& node, const app::FrameTable& frames,
                         const LabelContext& ctx, Sizes& sizes) {
-    sizes.wire += 1;  // child count (varint, small in practice)
+    sizes.wire += varint_size(node.children.size());  // child count
     for (const auto& child : node.children) {
       ++sizes.nodes;
-      sizes.wire += 1 + frames.name(child.frame).size();  // name
+      const std::size_t name = frames.name(child.frame).size();
+      sizes.wire += varint_size(name) + name;
       sizes.wire += child.label.wire_bytes(ctx);
       add_sizes(child, frames, ctx, sizes);
     }

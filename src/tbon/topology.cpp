@@ -227,6 +227,31 @@ struct RoutePlacementState {
     }
     return routes;
   }
+
+  /// The greedy step both host tiers share: scores each candidate host in
+  /// order, charges the routes of the first with the lowest (max, sum)
+  /// score and returns it, or nullopt when there is no candidate.
+  std::optional<NodeId> place(const std::vector<NodeId>& candidates,
+                              NodeId parent_host,
+                              const std::vector<NodeId>& child_hosts) {
+    std::optional<NodeId> best;
+    std::pair<double, double> best_score{
+        std::numeric_limits<double>::infinity(), 0.0};
+    std::vector<net::Route> best_routes;
+    for (const NodeId host : candidates) {
+      std::vector<net::Route> routes =
+          routes_for(host, parent_host, child_hosts);
+      const std::pair<double, double> candidate_score =
+          score(routes, net::SwitchGraph::access_device(host));
+      if (candidate_score < best_score) {
+        best_score = candidate_score;
+        best = host;
+        best_routes = std::move(routes);
+      }
+    }
+    if (best) charge(best_routes);
+    return best;
+  }
 };
 
 }  // namespace
@@ -354,39 +379,20 @@ Result<TbonTopology> build_topology(const machine::MachineConfig& machine,
           RoutePlacementState& rs = route_placement();
           // One candidate per leaf switch suffices: free nodes behind the
           // same switch share a route shape, and the lowest index wins ties.
-          std::vector<std::uint32_t> first_free(
-              rs.graph.num_switches(), machine.compute_nodes);
+          std::vector<bool> switch_seen(rs.graph.num_switches(), false);
+          std::vector<NodeId> hosts;  // ascending node index
           for (std::uint32_t node = layout.num_daemons;
                node < machine.compute_nodes; ++node) {
             if (consumed_nodes.count(node) != 0) continue;
-            const std::uint32_t s =
-                rs.graph.switch_of(machine.compute_node(node));
-            if (first_free[s] == machine.compute_nodes) first_free[s] = node;
-          }
-          std::vector<std::uint32_t> candidates;
-          for (const std::uint32_t node : first_free) {
-            if (node < machine.compute_nodes) candidates.push_back(node);
-          }
-          std::sort(candidates.begin(), candidates.end());
-          node_index = machine.compute_nodes;
-          std::pair<double, double> best_score{
-              std::numeric_limits<double>::infinity(), 0.0};
-          std::vector<net::Route> best_routes;
-          for (const std::uint32_t node : candidates) {
             const NodeId host = machine.compute_node(node);
-            const std::uint64_t access = net::SwitchGraph::access_device(host);
-            std::vector<net::Route> routes =
-                rs.routes_for(host, parent_host, child_hosts);
-            const std::pair<double, double> score = rs.score(routes, access);
-            if (score < best_score) {
-              best_score = score;
-              node_index = node;
-              best_routes = std::move(routes);
-            }
+            const std::uint32_t s = rs.graph.switch_of(host);
+            if (switch_seen[s]) continue;
+            switch_seen[s] = true;
+            hosts.push_back(host);
           }
-          if (node_index < machine.compute_nodes) {
-            rs.charge(best_routes);
-          }
+          const auto best = rs.place(hosts, parent_host, child_hosts);
+          node_index =
+              best ? machine::node_index(*best) : machine.compute_nodes;
         } else {
           node_index = nth_free_node(comm_seq / machine.cores_per_compute_node);
         }
@@ -407,46 +413,33 @@ Result<TbonTopology> build_topology(const machine::MachineConfig& machine,
         // always are without kPack in the mix — and skips hosts kPack has
         // already filled, so the per-host slot limit holds for every
         // placement mix, not just in aggregate.
-        std::uint32_t login = 0;
+        std::optional<std::uint32_t> login;
         if (placement == ReducerPlacement::kPack) {
           login = shard_seq / machine.max_comm_procs_per_login;
         } else if (placement == ReducerPlacement::kRoute) {
           // Least-max-link-load login with a free helper slot. The earlier
           // capacity check guarantees a free slot exists at every step.
-          RoutePlacementState& rs = route_placement();
-          bool found = false;
-          std::pair<double, double> best_score{
-              std::numeric_limits<double>::infinity(), 0.0};
-          std::vector<net::Route> best_routes;
+          std::vector<NodeId> hosts;
           for (std::uint32_t l = 0; l < machine.login_nodes; ++l) {
-            if (login_load[l] >= machine.max_comm_procs_per_login) continue;
-            const NodeId host = machine.login_node(l);
-            const std::uint64_t access = net::SwitchGraph::access_device(host);
-            std::vector<net::Route> routes =
-                rs.routes_for(host, parent_host, child_hosts);
-            const std::pair<double, double> score = rs.score(routes, access);
-            if (score < best_score) {
-              best_score = score;
-              login = l;
-              found = true;
-              best_routes = std::move(routes);
+            if (login_load[l] < machine.max_comm_procs_per_login) {
+              hosts.push_back(machine.login_node(l));
             }
           }
-          if (!found) {
-            // Unreachable after the capacity check; degrade to least-loaded.
-            for (std::uint32_t l = 1; l < machine.login_nodes; ++l) {
-              if (login_load[l] < login_load[login]) login = l;
-            }
-          } else {
-            rs.charge(best_routes);
+          if (const auto best =
+                  route_placement().place(hosts, parent_host, child_hosts)) {
+            login = machine::node_index(*best);
           }
-        } else {
+          // Finding no candidate is unreachable after the capacity check;
+          // it would degrade to least-loaded below.
+        }
+        if (!login) {
+          login = 0;
           for (std::uint32_t l = 1; l < machine.login_nodes; ++l) {
-            if (login_load[l] < login_load[login]) login = l;
+            if (login_load[l] < login_load[*login]) login = l;
           }
         }
-        proc.host = machine.login_node(login);
-        ++login_load[login];
+        proc.host = machine.login_node(*login);
+        ++login_load[*login];
       }
       if (shard_level) ++shard_seq;
       proc.parent = static_cast<std::int32_t>(parent_index);

@@ -1,148 +1,138 @@
-// Unit tests for the execution-engine layer: ThreadPool (worker pool with
-// per-task completion) and sim::Executor (inline vs pooled submission, strand
-// serialization). The determinism of full scenario runs is covered end to
-// end by test_parallel_determinism; this suite pins the substrate contracts
-// those runs rely on — and is the surface the TSan CI job hammers.
+// Unit tests for the execution engine, sim::Executor: inline vs worker
+// submission, per-task completion, the job FIFO under concurrent producers,
+// and strand serialization. The determinism of full scenario runs is covered
+// end to end by test_parallel_determinism; this suite pins the substrate
+// contracts those runs rely on — and is the surface the TSan CI job hammers
+// (ctest also runs it repeated and shuffled as test_exec_engine_repeat).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
-#include <numeric>
 #include <thread>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "sim/executor.hpp"
 
 namespace petastat {
 namespace {
 
 // --------------------------------------------------------------------------
-// ThreadPool
+// Tasks and the job FIFO
 
-TEST(ThreadPool, WaitMakesSideEffectsVisible) {
-  ThreadPool pool(4);
+TEST(ExecutorTasks, WaitMakesSideEffectsVisible) {
+  sim::Executor exec(4);
   int value = 0;
-  auto task = ThreadPool::package([&value]() { value = 42; });
-  pool.post(task);
-  pool.wait(task);
+  const sim::Executor::TaskRef task = exec.run([&value]() { value = 42; });
+  ASSERT_NE(task, nullptr);
+  exec.wait(task);
   EXPECT_EQ(value, 42);
-  EXPECT_TRUE(task->done());
 }
 
-TEST(ThreadPool, NullTaskIsAlreadyDone) {
-  ThreadPool pool(1);
-  pool.wait(nullptr);  // must not hang or crash
+TEST(ExecutorTasks, NullTaskIsAlreadyDone) {
+  sim::Executor exec(2);
+  exec.wait(nullptr);  // must not hang or crash
 }
 
-TEST(ThreadPool, ZeroThreadsClampsToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.thread_count(), 1u);
+TEST(ExecutorTasks, ZeroThreadsIsInline) {
+  sim::Executor exec(0);
+  EXPECT_FALSE(exec.parallel());
+  EXPECT_EQ(exec.thread_count(), 1u);
+  int value = 0;
+  EXPECT_EQ(exec.run([&value]() { value = 3; }), nullptr);
+  EXPECT_EQ(value, 3);
+  exec.wait_all();
 }
 
-TEST(ThreadPool, WaitIdleDrainsEverything) {
-  ThreadPool pool(4);
+TEST(ExecutorTasks, WaitAllDrainsEverything) {
+  sim::Executor exec(4);
   std::atomic<int> ran{0};
   constexpr int kJobs = 200;
   for (int i = 0; i < kJobs; ++i) {
-    pool.post(ThreadPool::package([&ran]() {
-      ran.fetch_add(1, std::memory_order_relaxed);
-    }));
+    exec.run([&ran]() { ran.fetch_add(1, std::memory_order_relaxed); });
   }
-  pool.wait_idle();
+  exec.wait_all();
   EXPECT_EQ(ran.load(), kJobs);
-  EXPECT_EQ(pool.completed(), static_cast<std::uint64_t>(kJobs));
 }
 
-TEST(ThreadPool, ExecuteRunsOnCallingThread) {
-  ThreadPool pool(2);
-  const std::thread::id caller = std::this_thread::get_id();
-  std::thread::id ran_on;
-  auto task = ThreadPool::package([&ran_on]() {
-    ran_on = std::this_thread::get_id();
-  });
-  pool.execute(task);
-  EXPECT_TRUE(task->done());
-  EXPECT_EQ(ran_on, caller);
-}
-
-TEST(ThreadPool, DestructorCompletesOutstandingWork) {
+TEST(ExecutorTasks, DestructorCompletesOutstandingWork) {
   std::atomic<int> ran{0};
   {
-    ThreadPool pool(2);
+    sim::Executor exec(2);
+    sim::Executor::Strand strand(exec);
     for (int i = 0; i < 50; ++i) {
-      pool.post(ThreadPool::package([&ran]() {
-        ran.fetch_add(1, std::memory_order_relaxed);
-      }));
+      exec.run([&ran]() { ran.fetch_add(1, std::memory_order_relaxed); });
+      strand.run([&ran]() { ran.fetch_add(1, std::memory_order_relaxed); });
     }
-    // No wait: destructor must still let queued work finish (workers only
-    // exit once the submission queue is empty) and release all keepalives.
+    // No wait: the destructor must still let queued tasks and strand chains
+    // finish (workers only exit once the queue is empty) and release all
+    // keepalives.
   }
-  EXPECT_EQ(ran.load(), 50);
+  EXPECT_EQ(ran.load(), 100);
 }
 
-TEST(ThreadPool, ManyWaitersManyTasks) {
-  ThreadPool pool(4);
+TEST(ExecutorTasks, ManyWaitersManyTasks) {
+  sim::Executor exec(4);
   constexpr int kTasks = 500;
   std::vector<int> results(kTasks, 0);
-  std::vector<ThreadPool::TaskRef> tasks;
+  std::vector<sim::Executor::TaskRef> tasks;
   tasks.reserve(kTasks);
   for (int i = 0; i < kTasks; ++i) {
-    tasks.push_back(ThreadPool::package([&results, i]() { results[i] = i; }));
-    pool.post(tasks.back());
+    tasks.push_back(exec.run([&results, i]() { results[i] = i; }));
   }
   // Wait in reverse order: most waits will be on already-done tasks.
-  for (int i = kTasks - 1; i >= 0; --i) pool.wait(tasks[i]);
+  for (int i = kTasks - 1; i >= 0; --i) exec.wait(tasks[i]);
   for (int i = 0; i < kTasks; ++i) EXPECT_EQ(results[i], i);
 }
 
-TEST(ThreadPool, ConcurrentProducersRunEveryJobOnce) {
-  // Producers post packaged tasks and raw jobs from several threads while
-  // waiter threads block on those tasks, some before they are even posted.
-  // Every job must run exactly once (the TSan CI job runs this).
+TEST(ExecutorTasks, ConcurrentProducersRunEveryJobOnce) {
+  // Producers submit plain tasks and strand items from several threads
+  // while waiter threads block on those tasks, many of them before they
+  // have run. Every job must run exactly once (the TSan CI job runs this).
   constexpr int kProducers = 4;
   constexpr int kWaiters = 2;
-  constexpr int kPerProducer = 1000;  // half tasks, half raw jobs
+  constexpr int kPerProducer = 1000;  // half plain tasks, half strand items
   constexpr int kJobs = kProducers * kPerProducer;
-  ThreadPool pool(4);
+  sim::Executor exec(4);
   std::vector<std::atomic<int>> runs(kJobs);
-  std::vector<ThreadPool::TaskRef> tasks(kJobs);
-  for (int j = 0; j < kJobs; j += 2) {
-    tasks[j] = ThreadPool::package(
-        [&runs, j]() { runs[j].fetch_add(1, std::memory_order_relaxed); });
+  std::vector<sim::Executor::TaskRef> tasks(kJobs);
+  std::vector<std::atomic<bool>> submitted(kJobs);
+  std::vector<std::unique_ptr<sim::Executor::Strand>> strands;
+  for (int p = 0; p < kProducers; ++p) {
+    strands.push_back(std::make_unique<sim::Executor::Strand>(exec));
   }
   std::vector<std::thread> threads;
   for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&pool, &runs, &tasks, p]() {
+    threads.emplace_back([&, p]() {
       for (int j = p * kPerProducer; j < (p + 1) * kPerProducer; ++j) {
-        if (tasks[j] != nullptr) {
-          pool.post(tasks[j]);
-        } else {
-          pool.post_job([&runs, j]() {
-            runs[j].fetch_add(1, std::memory_order_relaxed);
-          });
-        }
+        const auto job = [&runs, j]() {
+          runs[j].fetch_add(1, std::memory_order_relaxed);
+        };
+        tasks[j] = j % 2 == 0 ? exec.run(job) : strands[p]->run(job);
+        submitted[j].store(true, std::memory_order_release);
       }
     });
   }
   for (int w = 0; w < kWaiters; ++w) {
-    threads.emplace_back([&pool, &tasks, w]() {
-      // Opposite ends of the task list, so one waiter mostly waits on
-      // tasks that are already done and the other on ones not yet posted.
-      for (int i = 0; i < kJobs; i += 2) {
-        pool.wait(tasks[w == 0 ? i : kJobs - 2 - i]);
+    threads.emplace_back([&, w]() {
+      // Opposite ends of the job list, so one waiter mostly waits on jobs
+      // that are already done and the other on ones just submitted.
+      for (int i = 0; i < kJobs; ++i) {
+        const int j = w == 0 ? i : kJobs - 1 - i;
+        while (!submitted[j].load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
+        exec.wait(tasks[j]);
+        EXPECT_EQ(runs[j].load(std::memory_order_relaxed), 1) << "job " << j;
       }
     });
   }
   for (auto& thread : threads) thread.join();
-  pool.wait_idle();
+  exec.wait_all();
   for (int j = 0; j < kJobs; ++j) EXPECT_EQ(runs[j].load(), 1) << "job " << j;
-  for (int j = 0; j < kJobs; j += 2) EXPECT_TRUE(tasks[j]->done());
-  EXPECT_EQ(pool.completed(), static_cast<std::uint64_t>(kJobs / 2));
 }
 
 // --------------------------------------------------------------------------
-// sim::Executor
+// Inline mode and strands
 
 TEST(Executor, SerialModeRunsInline) {
   sim::Executor exec(1);

@@ -126,8 +126,7 @@ void roundtrip_test(app::FrameTable& frames, const PrefixTree<Label>& tree,
                     const LabelContext& ctx) {
   ByteSink sink;
   tree.encode(sink, frames, ctx);
-  // Wire accounting must dominate (it adds conservative varint estimates).
-  EXPECT_LE(sink.size(), tree.wire_bytes(frames, ctx) + 8);
+  EXPECT_EQ(sink.size(), tree.wire_bytes(frames, ctx));
   auto bytes = sink.take();
   ByteSource source(bytes);
   app::FrameTable fresh;  // decoder interns into a fresh table
@@ -151,6 +150,19 @@ TEST_F(TreeFixture, HierTreeSerializationRoundtrips) {
   tree.insert(path({"_start", "main", "a"}), HierLabel::for_local(3, 1));
   tree.insert(path({"_start", "main", "b"}), HierLabel::for_local(5, 0));
   roundtrip_test(frames, tree, LabelContext{16});
+}
+
+// Multi-byte varints: a 200-child node's child count and a 200-byte frame
+// name's length prefix each take two bytes on the wire.
+TEST_F(TreeFixture, WideNodeAndLongNameSerializationRoundtrips) {
+  HierTree tree;
+  for (std::uint32_t i = 0; i < 200; ++i) {
+    tree.insert(path({"_start", "f" + std::to_string(i)}),
+                HierLabel::for_local(i % 4, i));
+  }
+  const std::string long_name(200, 'x');
+  tree.insert(path({"_start", long_name}), HierLabel::for_local(0, 0));
+  roundtrip_test(frames, tree, LabelContext{1024});
 }
 
 TEST_F(TreeFixture, DecodedTreePreservesLabels) {
