@@ -1,6 +1,8 @@
 // Tests for the report writers and the CLI configuration parser.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "stat/cli_config.hpp"
 #include "stat/report.hpp"
 #include "stat/scenario.hpp"
@@ -248,6 +250,223 @@ TEST(Cli, StreamFullRemergeAndEvolveFlags) {
 
   EXPECT_FALSE(parse_cli(args({"--evolve", "static"})).is_ok());
   EXPECT_FALSE(parse_cli(args({"--evolve"})).is_ok());
+}
+
+// Every choice of every enum-valued flag parses to its value.
+TEST(Cli, EveryChoiceOfEveryEnumFlag) {
+  struct Case {
+    std::string_view flag;
+    std::string_view value;
+    std::function<bool(const CliConfig&)> holds;
+  };
+  const auto spec = [](tbon::TopologySpec expected) {
+    return [expected](const CliConfig& c) {
+      return !c.options.topology_auto &&
+             c.options.topology.name() == expected.name() &&
+             c.options.topology.bgl_rules == expected.bgl_rules;
+    };
+  };
+  const auto app = [](AppKind kind) {
+    return [kind](const CliConfig& c) { return c.options.app == kind; };
+  };
+  const auto launcher = [](LauncherKind kind) {
+    return [kind](const CliConfig& c) { return c.options.launcher == kind; };
+  };
+  const auto placement = [](tbon::ReducerPlacement p) {
+    return [p](const CliConfig& c) { return c.options.reducer_placement == p; };
+  };
+  const auto format = [](OutputFormat f) {
+    return [f](const CliConfig& c) { return c.format == f; };
+  };
+  const auto machine = [](std::string_view name) {
+    return [name](const CliConfig& c) { return c.machine.name == name; };
+  };
+  const std::vector<Case> cases = {
+      {"--machine", "atlas", machine("atlas")},
+      {"--machine", "bgl", machine("bgl")},
+      {"--machine", "petascale", machine("petascale")},
+      {"--mode", "co",
+       [](const CliConfig& c) {
+         return c.job.mode == machine::BglMode::kCoprocessor;
+       }},
+      {"--mode", "vn",
+       [](const CliConfig& c) {
+         return c.job.mode == machine::BglMode::kVirtualNode;
+       }},
+      {"--topology", "flat", spec(tbon::TopologySpec::flat())},
+      {"--topology", "2deep", spec(tbon::TopologySpec::balanced(2))},
+      {"--topology", "3deep", spec(tbon::TopologySpec::balanced(3))},
+      {"--topology", "bgl2deep", spec(tbon::TopologySpec::bgl(2))},
+      {"--topology", "bgl3deep", spec(tbon::TopologySpec::bgl(3))},
+      {"--topology", "auto",
+       [](const CliConfig& c) { return c.options.topology_auto; }},
+      {"--fe-shards", "auto",
+       [](const CliConfig& c) { return c.options.fe_shards_auto; }},
+      {"--reducer-placement", "comm",
+       placement(tbon::ReducerPlacement::kCommLike)},
+      {"--reducer-placement", "pack", placement(tbon::ReducerPlacement::kPack)},
+      {"--reducer-placement", "spread",
+       placement(tbon::ReducerPlacement::kSpread)},
+      {"--reducer-placement", "route",
+       placement(tbon::ReducerPlacement::kRoute)},
+      {"--repr", "dense",
+       [](const CliConfig& c) {
+         return c.options.repr == TaskSetRepr::kDenseGlobal;
+       }},
+      {"--repr", "hier",
+       [](const CliConfig& c) {
+         return c.options.repr == TaskSetRepr::kHierarchical;
+       }},
+      {"--launcher", "rsh", launcher(LauncherKind::kMrnetRsh)},
+      {"--launcher", "ssh", launcher(LauncherKind::kMrnetSsh)},
+      {"--launcher", "launchmon", launcher(LauncherKind::kLaunchMon)},
+      {"--launcher", "ciod", launcher(LauncherKind::kCiodPatched)},
+      {"--launcher", "ciod-unpatched", launcher(LauncherKind::kCiodUnpatched)},
+      {"--evolve", "jitter",
+       [](const CliConfig& c) {
+         return c.options.evolution == app::TraceEvolution::kJitter;
+       }},
+      {"--evolve", "drift",
+       [](const CliConfig& c) {
+         return c.options.evolution == app::TraceEvolution::kDrift;
+       }},
+      {"--fs", "nfs",
+       [](const CliConfig& c) {
+         return c.options.shared_fs == SharedFsKind::kNfs;
+       }},
+      {"--fs", "lustre",
+       [](const CliConfig& c) {
+         return c.options.shared_fs == SharedFsKind::kLustre;
+       }},
+      {"--app", "ring", app(AppKind::kRingHang)},
+      {"--app", "threaded", app(AppKind::kThreadedRing)},
+      {"--app", "statbench", app(AppKind::kStatBench)},
+      {"--app", "iostall", app(AppKind::kIoStall)},
+      {"--app", "imbalance", app(AppKind::kImbalance)},
+      {"--app", "oomcascade", app(AppKind::kOomCascade)},
+      {"--format", "text", format(OutputFormat::kText)},
+      {"--format", "csv", format(OutputFormat::kCsv)},
+      {"--format", "json", format(OutputFormat::kJson)},
+      {"--service-policy", "fifo",
+       [](const CliConfig& c) { return c.service_policy == "fifo"; }},
+      {"--service-policy", "backfill",
+       [](const CliConfig& c) { return c.service_policy == "backfill"; }},
+  };
+  for (const Case& c : cases) {
+    const auto config = parse_cli(args({c.flag, c.value}));
+    ASSERT_TRUE(config.is_ok())
+        << c.flag << " " << c.value << ": " << config.status().to_string();
+    EXPECT_TRUE(c.holds(config.value())) << c.flag << " " << c.value;
+    // Names match exactly: a longer name is rejected.
+    const std::string shouted = std::string(c.value) + "X";
+    EXPECT_EQ(parse_cli(args({c.flag, shouted})).status().code(),
+              StatusCode::kInvalidArgument)
+        << c.flag << " " << shouted;
+    EXPECT_EQ(parse_cli(args({c.flag})).status().code(),
+              StatusCode::kInvalidArgument)
+        << c.flag << " without a value";
+  }
+}
+
+// Every count flag accepts its range's end points and rejects the first
+// value past each end.
+TEST(Cli, EveryCountFlagRejectsJustPastItsRange) {
+  struct Case {
+    std::string_view flag;
+    std::string_view low_rejected, low, high, high_rejected;
+    std::function<std::uint64_t(const CliConfig&)> read;
+    std::uint64_t low_value, high_value;
+  };
+  const std::vector<Case> cases = {
+      {"--threads", "0", "1", "256", "257",
+       [](const CliConfig& c) { return c.job.threads_per_task; }, 1, 256},
+      {"--fe-shards", "0", "1", "64", "65",
+       [](const CliConfig& c) { return c.options.fe_shards; }, 1, 64},
+      {"--samples", "0", "1", "1000", "1001",
+       [](const CliConfig& c) { return c.options.num_samples; }, 1, 1000},
+      {"--stream", "0", "1", "10000", "10001",
+       [](const CliConfig& c) { return c.options.stream_samples; }, 1, 10000},
+      {"--exec-threads", "0", "1", "256", "257",
+       [](const CliConfig& c) { return c.options.exec_threads; }, 1, 256},
+      {"--checkpoint-period", "0", "1", "10000", "10001",
+       [](const CliConfig& c) { return c.options.checkpoint_period; }, 1,
+       10000},
+      {"--vacate-at", "0", "1", "10000", "10001",
+       [](const CliConfig& c) {
+         return static_cast<std::uint64_t>(c.options.vacate_at_round);
+       },
+       1, 10000},
+      {"--seed", "-1", "0", "18446744073709551615", "18446744073709551616",
+       [](const CliConfig& c) { return c.options.seed; }, 0,
+       18446744073709551615ull},
+  };
+  for (const Case& c : cases) {
+    for (const auto& [text, expected] :
+         {std::pair{c.low, c.low_value}, std::pair{c.high, c.high_value}}) {
+      const auto config = parse_cli(args({c.flag, text}));
+      ASSERT_TRUE(config.is_ok())
+          << c.flag << " " << text << ": " << config.status().to_string();
+      EXPECT_EQ(c.read(config.value()), expected) << c.flag << " " << text;
+    }
+    for (const std::string_view text : {c.low_rejected, c.high_rejected}) {
+      EXPECT_EQ(parse_cli(args({c.flag, text})).status().code(),
+                StatusCode::kInvalidArgument)
+          << c.flag << " " << text;
+    }
+  }
+  // --tasks: 0 and 2^31 + 1 are out of range; 2^31 parses, then fails the
+  // machine-fit check.
+  EXPECT_EQ(parse_cli(args({"--tasks", "0"})).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(parse_cli(args({"--tasks", "2147483649"})).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(parse_cli(args({"--tasks", "2147483648"})).status().code(),
+            StatusCode::kResourceExhausted);
+  const auto one = parse_cli(args({"--tasks", "1"}));
+  ASSERT_TRUE(one.is_ok());
+  EXPECT_EQ(one.value().job.num_tasks, 1u);
+}
+
+TEST(Cli, CheckpointVacateAndRestoreFlags) {
+  const auto periodic = parse_cli(args({"--checkpoint-period", "3"}));
+  ASSERT_TRUE(periodic.is_ok());
+  EXPECT_EQ(periodic.value().options.checkpoint_period, 3u);
+  EXPECT_TRUE(periodic.value().checkpoint_path.empty());
+
+  const auto written =
+      parse_cli(args({"--checkpoint-period", "2:out/ckpt.bin"}));
+  ASSERT_TRUE(written.is_ok());
+  EXPECT_EQ(written.value().options.checkpoint_period, 2u);
+  EXPECT_EQ(written.value().checkpoint_path, "out/ckpt.bin");
+
+  const auto vacate = parse_cli(args({"--vacate-at", "5"}));
+  ASSERT_TRUE(vacate.is_ok());
+  EXPECT_EQ(vacate.value().options.vacate_at_round, 5);
+  EXPECT_TRUE(vacate.value().checkpoint_path.empty());
+  const auto defaults = parse_cli({});
+  ASSERT_TRUE(defaults.is_ok());
+  EXPECT_EQ(defaults.value().options.vacate_at_round, -1);
+  EXPECT_EQ(defaults.value().options.checkpoint_period, 0u);
+
+  // Only the first colon splits: the path may hold more.
+  const auto vacate_path = parse_cli(args({"--vacate-at", "4:a:b"}));
+  ASSERT_TRUE(vacate_path.is_ok());
+  EXPECT_EQ(vacate_path.value().options.vacate_at_round, 4);
+  EXPECT_EQ(vacate_path.value().checkpoint_path, "a:b");
+
+  const auto restore = parse_cli(args({"--restore", "in.ckpt"}));
+  ASSERT_TRUE(restore.is_ok());
+  EXPECT_EQ(restore.value().restore_path, "in.ckpt");
+
+  for (const auto& bad : {args({"--checkpoint-period", "2:"}),
+                          args({"--checkpoint-period", ":p"}),
+                          args({"--checkpoint-period", "x:p"}),
+                          args({"--vacate-at", "2:"}),
+                          args({"--vacate-at", "0:p"}),
+                          args({"--restore", ""}), args({"--restore"})}) {
+    EXPECT_EQ(parse_cli(bad).status().code(), StatusCode::kInvalidArgument)
+        << bad[0] << " " << (bad.size() > 1 ? bad[1] : "");
+  }
 }
 
 TEST(Cli, RejectsJobsThatDoNotFit) {
