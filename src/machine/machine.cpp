@@ -1,5 +1,7 @@
 #include "machine/machine.hpp"
 
+#include <utility>
+
 namespace petastat::machine {
 
 std::uint32_t tasks_per_compute_node(const MachineConfig& machine, BglMode mode) {
@@ -162,6 +164,16 @@ MachineConfig petascale() {
   m.interconnect.agg_uplink = {5 * kMicrosecond, 76.8e9};
   m.interconnect.per_message_overhead = 20 * kMicrosecond;
   return m;
+}
+
+Result<MachineConfig> preset(std::string_view name) {
+  static constexpr std::pair<std::string_view, MachineConfig (*)()> kPresets[] =
+      {{"atlas", atlas}, {"bgl", bgl}, {"petascale", petascale}};
+  for (const auto& [preset_name, build] : kPresets) {
+    if (preset_name == name) return build();
+  }
+  return invalid_argument("unknown machine '" + std::string(name) +
+                          "' (expects atlas|bgl|petascale)");
 }
 
 }  // namespace petastat::machine

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/status.hpp"
 #include "common/types.hpp"
@@ -234,5 +235,10 @@ struct DaemonLayout {
 /// forward-looking projections (Sec. V, "a million cores would require a
 /// 1 megabit bit vector per edge label").
 [[nodiscard]] MachineConfig petascale();
+
+/// The preset called `name` ("atlas", "bgl" or "petascale"), built alone;
+/// any other name is INVALID_ARGUMENT. Serves `--machine` and the service
+/// trace's "machine" key.
+[[nodiscard]] Result<MachineConfig> preset(std::string_view name);
 
 }  // namespace petastat::machine

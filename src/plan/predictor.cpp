@@ -316,15 +316,7 @@ PhasePredictor::PhasePredictor(machine::MachineConfig machine,
       graph_(net::build_switch_graph(machine_)),
       profile_(profile_workload(machine_, job_, layout_, options_)),
       stream_profile_(profile_workload(machine_, job_, layout_, options_,
-                                       ProbeLeaf::kStreamSnapshot)) {
-  // Fold the per-run connection override into the config (mirrors
-  // StatScenario): the reducer-tree fan-in clamp in tbon::derive_levels and
-  // every viability check must see the same limit, or the planner would
-  // price trees the run then builds differently.
-  if (options_.max_frontend_connections) {
-    machine_.max_tool_connections = *options_.max_frontend_connections;
-  }
-}
+                                       ProbeLeaf::kStreamSnapshot)) {}
 
 Result<PhasePredictor> PhasePredictor::create(machine::MachineConfig machine,
                                               machine::JobConfig job,
@@ -392,12 +384,11 @@ Result<PhasePrediction> PhasePredictor::predict(
 
   // --- Merge ---------------------------------------------------------------
   // Connection-limit and receive-buffer viability (the Sec. V-A failures the
-  // paper observed): the exact checks — and the exact limits, per-run
-  // override included — the simulator runs, so the two can never disagree.
+  // paper observed): the exact checks — and the exact limits — the
+  // simulator runs, so the two can never disagree.
   if (p.viability.is_ok()) {
-    p.viability = tbon::connection_viability(
-        topo, options_.max_frontend_connections.value_or(
-                  machine_.max_tool_connections));
+    p.viability =
+        tbon::connection_viability(topo, machine_.max_tool_connections);
   }
   if (p.viability.is_ok()) {
     const auto leaf_bytes =

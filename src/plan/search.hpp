@@ -49,7 +49,7 @@ struct TopologySearchResult {
 
 /// Which spec a run uses: the one entry point for `--topology auto`,
 /// `--fe-shards auto` and the restore re-plan. `machine` is the machine the
-/// run builds on, with any per-run connection override already folded in.
+/// run builds on; its `max_tool_connections` is the run's ceiling.
 ///  * restore with an auto mode: adopt `restore->spec`, then re-price K and
 ///    placement against the measured `leaf_payload_bytes` the checkpoint
 ///    recorded (a resumed session may legally re-shard);

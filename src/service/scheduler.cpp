@@ -90,12 +90,6 @@ SessionScheduler::Plan& SessionScheduler::resolve(Session& session,
     effective.max_tool_connections = std::min<std::uint32_t>(
         effective.max_tool_connections, view.free().fe_connections);
   }
-  // The run folds its connection override into the machine it builds on,
-  // where it also clamps the reducer-tree fan-in: plan and price the
-  // demand on that machine too.
-  if (const auto& cap = session.request.options.max_frontend_connections) {
-    effective.max_tool_connections = *cap;
-  }
   std::string key =
       session.pinned
           ? "pinned"

@@ -213,14 +213,16 @@ class JsonParser {
 
 // --- Trace semantics -------------------------------------------------------
 
-/// Renders a JSON number the way a user would have typed it on the command
-/// line: integers without a decimal point, everything else via %g.
+/// Renders a JSON number as a CLI flag value that parses back to the same
+/// double: integers of magnitude up to 2^53 (where every integer is exact)
+/// without a decimal point or exponent, anything else with the 17
+/// significant digits that round-trip a double.
 std::string number_to_flag_value(double number) {
-  if (number == std::floor(number) && std::abs(number) < 1e15) {
+  if (number == std::floor(number) && std::abs(number) <= 0x1p53) {
     return std::to_string(static_cast<long long>(number));
   }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", number);
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", number);
   return buf;
 }
 
@@ -347,16 +349,11 @@ Result<ServiceTrace> parse_service_trace(std::string_view text) {
       if (value.kind != JsonValue::Kind::kString) {
         return invalid_argument("trace JSON: machine must be a string");
       }
-      if (value.string == "atlas") {
-        trace.config.machine = machine::atlas();
-      } else if (value.string == "bgl") {
-        trace.config.machine = machine::bgl();
-      } else if (value.string == "petascale") {
-        trace.config.machine = machine::petascale();
-      } else {
-        return invalid_argument("trace JSON: unknown machine '" +
-                                value.string + "'");
+      auto preset = machine::preset(value.string);
+      if (!preset.is_ok()) {
+        return invalid_argument("trace JSON: " + preset.status().message());
       }
+      trace.config.machine = std::move(preset).value();
     } else if (key == "policy") {
       if (value.kind != JsonValue::Kind::kString) {
         return invalid_argument("trace JSON: policy must be a string");

@@ -4,7 +4,8 @@
 //
 // Format (all times in seconds, all keys lowercase):
 //   {
-//     "machine": "petascale",            // atlas|bgl|petascale (default atlas)
+//     "machine": "petascale",            // atlas|bgl|petascale (default
+//                                        // petascale, ServiceConfig's)
 //     "policy": "backfill",              // fifo|backfill (default backfill)
 //     "executor_threads": 4,             // shared engine width (default 4)
 //     "comm_slot_capacity": 1024,        // optional ledger overrides

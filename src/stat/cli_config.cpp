@@ -1,50 +1,254 @@
 #include "stat/cli_config.hpp"
 
+#include <algorithm>
 #include <charconv>
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <utility>
 
 namespace petastat::stat {
 
 namespace {
 
-Status bad(std::string message) { return invalid_argument(std::move(message)); }
+// Each read_* function stores the value it read in `field`, or returns
+// INVALID_ARGUMENT and parse_cli drops the half-built config.
 
-Result<std::uint64_t> parse_number(std::string_view flag, std::string_view text) {
+/// One flag occurrence: the flag as typed and its value ("" for a switch).
+struct Arg {
+  std::string_view flag;
+  std::string_view text;
+};
+
+/// INVALID_ARGUMENT naming the flag, what it takes and the rejected text.
+Status rejected(Arg arg, std::string_view expected) {
+  return invalid_argument(std::string(arg.flag) + " expects " +
+                          std::string(expected) + ", got '" +
+                          std::string(arg.text) + "'");
+}
+
+/// One name a choice flag accepts and the value it stands for.
+template <typename T>
+using Choice = std::pair<std::string_view, T>;
+
+/// Reads one of `choices` by exact name; the error lists every name.
+template <typename T, std::size_t N, typename Field>
+Status read_choice(Arg arg, const Choice<T> (&choices)[N], Field& field) {
+  for (const auto& [name, value] : choices) {
+    if (name == arg.text) {
+      field = Field(value);
+      return Status::ok();
+    }
+  }
+  std::string names;
+  for (const auto& choice : choices) names.append("|").append(choice.first);
+  return rejected(arg, std::string_view(names).substr(1));
+}
+
+/// Reads a decimal integer in [lo, hi].
+template <typename Field>
+Status read_count(Arg arg, std::uint64_t lo, std::uint64_t hi, Field& field) {
   std::uint64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc{} || ptr != text.data() + text.size()) {
-    return bad(std::string(flag) + " expects a number, got '" +
-               std::string(text) + "'");
+  const char* end = arg.text.data() + arg.text.size();
+  const auto [ptr, ec] = std::from_chars(arg.text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || value < lo || value > hi) {
+    return rejected(arg, "an integer in " + std::to_string(lo) + ".." +
+                             std::to_string(hi));
   }
-  return value;
+  field = static_cast<Field>(value);
+  return Status::ok();
 }
 
-Result<double> parse_fraction(std::string_view flag, std::string_view text) {
-  // from_chars(double) is not universally available; parse by hand.
-  try {
-    const double v = std::stod(std::string(text));
-    if (!(v >= 0.0 && v <= 1.0)) {  // NaN fails both comparisons
-      return bad(std::string(flag) + " must be in [0,1]");
-    }
-    return v;
-  } catch (const std::exception&) {
-    return bad(std::string(flag) + " expects a fraction, got '" +
-               std::string(text) + "'");
+/// Reads `N[:suffix]`: N in 1..10000 into `count`, and the text after the
+/// first colon into `suffix` (untouched without a colon). A colon needs a
+/// suffix.
+template <typename Field>
+Status read_count_and_suffix(Arg arg, std::string_view form, Field& count,
+                             std::string& suffix) {
+  const std::size_t colon = arg.text.find(':');
+  if (colon != std::string_view::npos) {
+    if (colon + 1 == arg.text.size()) return rejected(arg, form);
+    suffix = std::string(arg.text.substr(colon + 1));
   }
+  return read_count({arg.flag, arg.text.substr(0, colon)}, 1, 10000, count);
 }
 
-Result<double> parse_seconds(std::string_view flag, std::string_view text) {
+/// Reads a real number in [lo, hi] with std::stod; NaN fails both bounds.
+Status read_real(Arg arg, double lo, double hi, std::string_view expected,
+                 double& field) {
   try {
-    const double v = std::stod(std::string(text));
-    if (!fits_sim_time(v)) {
-      return bad(std::string(flag) + " must be a number of seconds in 0..1.8e10");
+    const double value = std::stod(std::string(arg.text));
+    if (value >= lo && value <= hi) {
+      field = value;
+      return Status::ok();
     }
-    return v;
   } catch (const std::exception&) {
-    return bad(std::string(flag) + " expects seconds, got '" +
-               std::string(text) + "'");
   }
+  return rejected(arg, expected);
 }
+
+/// Seconds that fit a SimTime (fits_sim_time).
+Status read_seconds(Arg arg, double& field) {
+  return read_real(arg, 0.0, kMaxSimSeconds, "seconds in 0..1.8e10", field);
+}
+
+Status read_path(Arg arg, std::string& field) {
+  if (arg.text.empty()) return rejected(arg, "a file path");
+  field = std::string(arg.text);
+  return Status::ok();
+}
+
+/// The config under construction, plus what the rules applied after the
+/// last flag need to know.
+struct Parsing : CliConfig {
+  bool launcher_named = false;
+  bool app_named = false;
+};
+
+struct FlagSpec {
+  std::string_view name;
+  bool takes_value;
+  Status (*apply)(Parsing&, Arg);
+};
+
+using machine::BglMode;
+constexpr Choice<BglMode> kModes[] = {{"co", BglMode::kCoprocessor},
+                                      {"vn", BglMode::kVirtualNode}};
+using tbon::ReducerPlacement;
+constexpr Choice<ReducerPlacement> kPlacements[] = {
+    {"comm", ReducerPlacement::kCommLike}, {"pack", ReducerPlacement::kPack},
+    {"spread", ReducerPlacement::kSpread}, {"route", ReducerPlacement::kRoute}};
+constexpr Choice<TaskSetRepr> kReprs[] = {
+    {"dense", TaskSetRepr::kDenseGlobal}, {"hier", TaskSetRepr::kHierarchical}};
+constexpr Choice<LauncherKind> kLaunchers[] = {
+    {"rsh", LauncherKind::kMrnetRsh},
+    {"ssh", LauncherKind::kMrnetSsh},
+    {"launchmon", LauncherKind::kLaunchMon},
+    {"ciod", LauncherKind::kCiodPatched},
+    {"ciod-unpatched", LauncherKind::kCiodUnpatched}};
+using app::TraceEvolution;
+constexpr Choice<TraceEvolution> kEvolutions[] = {
+    {"jitter", TraceEvolution::kJitter}, {"drift", TraceEvolution::kDrift}};
+constexpr Choice<SharedFsKind> kFileSystems[] = {
+    {"nfs", SharedFsKind::kNfs}, {"lustre", SharedFsKind::kLustre}};
+constexpr Choice<AppKind> kApps[] = {
+    {"ring", AppKind::kRingHang},       {"threaded", AppKind::kThreadedRing},
+    {"statbench", AppKind::kStatBench}, {"iostall", AppKind::kIoStall},
+    {"imbalance", AppKind::kImbalance}, {"oomcascade", AppKind::kOomCascade}};
+constexpr Choice<OutputFormat> kFormats[] = {{"text", OutputFormat::kText},
+                                             {"csv", OutputFormat::kCsv},
+                                             {"json", OutputFormat::kJson}};
+constexpr Choice<std::string_view> kServicePolicies[] = {
+    {"fifo", "fifo"}, {"backfill", "backfill"}};
+
+// Every flag parse_cli accepts; cli_usage() documents each one.
+constexpr FlagSpec kFlags[] = {
+    {"--machine", true, [](Parsing& p, Arg a) -> Status {
+       auto preset = machine::preset(a.text);
+       if (!preset.is_ok()) {
+         return invalid_argument(std::string(a.flag) + ": " +
+                                 preset.status().message());
+       }
+       p.machine = std::move(preset).value();
+       return Status::ok();
+     }},
+    {"--tasks", true,
+     [](Parsing& p, Arg a) { return read_count(a, 1, 1ull << 31, p.job.num_tasks); }},
+    {"--mode", true,
+     [](Parsing& p, Arg a) { return read_choice(a, kModes, p.job.mode); }},
+    {"--threads", true,
+     [](Parsing& p, Arg a) { return read_count(a, 1, 256, p.job.threads_per_task); }},
+    {"--topology", true, [](Parsing& p, Arg a) {
+       static const Choice<std::optional<tbon::TopologySpec>> kTopologies[] = {
+           {"flat", tbon::TopologySpec::flat()},
+           {"2deep", tbon::TopologySpec::balanced(2)},
+           {"3deep", tbon::TopologySpec::balanced(3)},
+           {"bgl2deep", tbon::TopologySpec::bgl(2)},
+           {"bgl3deep", tbon::TopologySpec::bgl(3)},
+           {"auto", std::nullopt}};  // no spec: search for one
+       std::optional<tbon::TopologySpec> spec;
+       Status status = read_choice(a, kTopologies, spec);
+       p.options.topology_auto = !spec;
+       if (spec) p.options.topology = std::move(*spec);
+       return status;
+     }},
+    {"--fe-shards", true, [](Parsing& p, Arg a) {
+       p.options.fe_shards_auto = a.text == "auto";
+       if (p.options.fe_shards_auto) return Status::ok();
+       return read_count(a, 1, 64, p.options.fe_shards);
+     }},
+    {"--reducer-placement", true, [](Parsing& p, Arg a) {
+       return read_choice(a, kPlacements, p.options.reducer_placement);
+     }},
+    {"--repr", true,
+     [](Parsing& p, Arg a) { return read_choice(a, kReprs, p.options.repr); }},
+    {"--launcher", true, [](Parsing& p, Arg a) {
+       p.launcher_named = true;
+       return read_choice(a, kLaunchers, p.options.launcher);
+     }},
+    {"--samples", true,
+     [](Parsing& p, Arg a) { return read_count(a, 1, 1000, p.options.num_samples); }},
+    {"--stream", true, [](Parsing& p, Arg a) {
+       std::string interval;
+       Status status = read_count_and_suffix(
+           a, "N[:interval]", p.options.stream_samples, interval);
+       if (!status.is_ok() || interval.empty()) return status;
+       return read_seconds({a.flag, interval}, p.options.stream_interval_seconds);
+     }},
+    {"--stream-full-remerge", false,
+     [](Parsing& p, Arg) { p.options.stream_full_remerge = true; return Status::ok(); }},
+    {"--evolve", true, [](Parsing& p, Arg a) {
+       return read_choice(a, kEvolutions, p.options.evolution);
+     }},
+    {"--fs", true, [](Parsing& p, Arg a) {
+       return read_choice(a, kFileSystems, p.options.shared_fs);
+     }},
+    {"--sbrs", false,
+     [](Parsing& p, Arg) { p.options.use_sbrs = true; return Status::ok(); }},
+    {"--slim-binaries", false,
+     [](Parsing& p, Arg) { p.options.slim_binaries = true; return Status::ok(); }},
+    {"--app", true, [](Parsing& p, Arg a) {
+       p.app_named = true;
+       return read_choice(a, kApps, p.options.app);
+     }},
+    {"--fail-fraction", true, [](Parsing& p, Arg a) {
+       return read_real(a, 0.0, 1.0, "a fraction in [0,1]",
+                        p.options.daemon_failure_probability);
+     }},
+    {"--fail-at", true,
+     [](Parsing& p, Arg a) { return read_seconds(a, p.options.fail_at_seconds); }},
+    {"--ping-period", true, [](Parsing& p, Arg a) {
+       // denorm_min is the least double above 0: the period is > 0.
+       return read_real(a, std::numeric_limits<double>::denorm_min(),
+                        kMaxSimSeconds, "seconds in (0,1.8e10]",
+                        p.options.ping_period_seconds);
+     }},
+    {"--seed", true,
+     [](Parsing& p, Arg a) { return read_count(a, 0, UINT64_MAX, p.options.seed); }},
+    {"--exec-threads", true,
+     [](Parsing& p, Arg a) { return read_count(a, 1, 256, p.options.exec_threads); }},
+    {"--format", true,
+     [](Parsing& p, Arg a) { return read_choice(a, kFormats, p.format); }},
+    {"--print-tree", false,
+     [](Parsing& p, Arg) { p.print_tree = true; return Status::ok(); }},
+    {"--dot", true,
+     [](Parsing& p, Arg a) { p.dot_path = a.text; return Status::ok(); }},
+    {"--checkpoint-period", true, [](Parsing& p, Arg a) {
+       return read_count_and_suffix(a, "N[:PATH]", p.options.checkpoint_period,
+                                    p.checkpoint_path);
+     }},
+    {"--vacate-at", true, [](Parsing& p, Arg a) {
+       return read_count_and_suffix(a, "R[:PATH]", p.options.vacate_at_round,
+                                    p.checkpoint_path);
+     }},
+    {"--restore", true,
+     [](Parsing& p, Arg a) { return read_path(a, p.restore_path); }},
+    {"--service", true,
+     [](Parsing& p, Arg a) { return read_path(a, p.service_trace_path); }},
+    {"--service-policy", true, [](Parsing& p, Arg a) {
+       return read_choice(a, kServicePolicies, p.service_policy);
+     }},
+};
 
 }  // namespace
 
@@ -126,341 +330,37 @@ std::string cli_usage() {
 }
 
 Result<CliConfig> parse_cli(std::span<const std::string_view> args) {
-  CliConfig config;
-  bool launcher_explicit = false;
-
+  Parsing parsing;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string_view flag = args[i];
-    const auto next = [&]() -> Result<std::string_view> {
-      if (i + 1 >= args.size()) {
-        return bad(std::string(flag) + " requires a value");
-      }
-      return args[++i];
-    };
-
-    if (flag == "--machine") {
-      auto value = next();
-      if (!value.is_ok()) return value.status();
-      if (value.value() == "atlas") {
-        config.machine = machine::atlas();
-      } else if (value.value() == "bgl") {
-        config.machine = machine::bgl();
-      } else if (value.value() == "petascale") {
-        config.machine = machine::petascale();
-      } else {
-        return bad("unknown machine '" + std::string(value.value()) + "'");
-      }
-    } else if (flag == "--tasks") {
-      auto value = next();
-      if (!value.is_ok()) return value.status();
-      auto n = parse_number(flag, value.value());
-      if (!n.is_ok()) return n.status();
-      if (n.value() == 0 || n.value() > (1ull << 31)) {
-        return bad("--tasks out of range");
-      }
-      config.job.num_tasks = static_cast<std::uint32_t>(n.value());
-    } else if (flag == "--mode") {
-      auto value = next();
-      if (!value.is_ok()) return value.status();
-      if (value.value() == "co") {
-        config.job.mode = machine::BglMode::kCoprocessor;
-      } else if (value.value() == "vn") {
-        config.job.mode = machine::BglMode::kVirtualNode;
-      } else {
-        return bad("--mode expects co|vn");
-      }
-    } else if (flag == "--threads") {
-      auto value = next();
-      if (!value.is_ok()) return value.status();
-      auto n = parse_number(flag, value.value());
-      if (!n.is_ok()) return n.status();
-      if (n.value() == 0 || n.value() > 256) return bad("--threads out of range");
-      config.job.threads_per_task = static_cast<std::uint32_t>(n.value());
-      if (n.value() > 1) config.options.app = AppKind::kThreadedRing;
-    } else if (flag == "--topology") {
-      auto value = next();
-      if (!value.is_ok()) return value.status();
-      config.options.topology_auto = false;
-      if (value.value() == "auto") {
-        config.options.topology_auto = true;
-      } else if (value.value() == "flat") {
-        config.options.topology = tbon::TopologySpec::flat();
-      } else if (value.value() == "2deep") {
-        config.options.topology = tbon::TopologySpec::balanced(2);
-      } else if (value.value() == "3deep") {
-        config.options.topology = tbon::TopologySpec::balanced(3);
-      } else if (value.value() == "bgl2deep") {
-        config.options.topology = tbon::TopologySpec::bgl(2);
-      } else if (value.value() == "bgl3deep") {
-        config.options.topology = tbon::TopologySpec::bgl(3);
-      } else {
-        return bad("unknown topology '" + std::string(value.value()) + "'");
-      }
-    } else if (flag == "--fe-shards") {
-      auto value = next();
-      if (!value.is_ok()) return value.status();
-      config.options.fe_shards_auto = false;
-      if (value.value() == "auto") {
-        config.options.fe_shards_auto = true;
-      } else {
-        auto n = parse_number(flag, value.value());
-        if (!n.is_ok()) return n.status();
-        if (n.value() == 0) {
-          return bad("--fe-shards 0 is invalid: use 1 for an unsharded "
-                     "front end");
-        }
-        if (n.value() > 64) return bad("--fe-shards out of range");
-        config.options.fe_shards = static_cast<std::uint32_t>(n.value());
-      }
-    } else if (flag == "--reducer-placement") {
-      auto value = next();
-      if (!value.is_ok()) return value.status();
-      if (value.value() == "comm") {
-        config.options.reducer_placement = tbon::ReducerPlacement::kCommLike;
-      } else if (value.value() == "pack") {
-        config.options.reducer_placement = tbon::ReducerPlacement::kPack;
-      } else if (value.value() == "spread") {
-        config.options.reducer_placement = tbon::ReducerPlacement::kSpread;
-      } else if (value.value() == "route") {
-        config.options.reducer_placement = tbon::ReducerPlacement::kRoute;
-      } else {
-        return bad("--reducer-placement expects comm|pack|spread|route");
-      }
-    } else if (flag == "--repr") {
-      auto value = next();
-      if (!value.is_ok()) return value.status();
-      if (value.value() == "dense") {
-        config.options.repr = TaskSetRepr::kDenseGlobal;
-      } else if (value.value() == "hier") {
-        config.options.repr = TaskSetRepr::kHierarchical;
-      } else {
-        return bad("--repr expects dense|hier");
-      }
-    } else if (flag == "--launcher") {
-      auto value = next();
-      if (!value.is_ok()) return value.status();
-      launcher_explicit = true;
-      if (value.value() == "rsh") {
-        config.options.launcher = LauncherKind::kMrnetRsh;
-      } else if (value.value() == "ssh") {
-        config.options.launcher = LauncherKind::kMrnetSsh;
-      } else if (value.value() == "launchmon") {
-        config.options.launcher = LauncherKind::kLaunchMon;
-      } else if (value.value() == "ciod") {
-        config.options.launcher = LauncherKind::kCiodPatched;
-      } else if (value.value() == "ciod-unpatched") {
-        config.options.launcher = LauncherKind::kCiodUnpatched;
-      } else {
-        return bad("unknown launcher '" + std::string(value.value()) + "'");
-      }
-    } else if (flag == "--samples") {
-      auto value = next();
-      if (!value.is_ok()) return value.status();
-      auto n = parse_number(flag, value.value());
-      if (!n.is_ok()) return n.status();
-      if (n.value() == 0 || n.value() > 1000) return bad("--samples out of range");
-      config.options.num_samples = static_cast<std::uint32_t>(n.value());
-    } else if (flag == "--stream") {
-      auto value = next();
-      if (!value.is_ok()) return value.status();
-      std::string_view count_text = value.value();
-      std::string_view interval_text;
-      if (const auto colon = count_text.find(':');
-          colon != std::string_view::npos) {
-        interval_text = count_text.substr(colon + 1);
-        count_text = count_text.substr(0, colon);
-        if (interval_text.empty()) {
-          return bad("--stream N:interval has an empty interval");
-        }
-      }
-      auto n = parse_number(flag, count_text);
-      if (!n.is_ok()) return n.status();
-      if (n.value() == 0) {
-        return bad("--stream 0 is invalid: omit the flag for the classic "
-                   "batched pipeline");
-      }
-      if (n.value() > 10000) return bad("--stream out of range");
-      config.options.stream_samples = static_cast<std::uint32_t>(n.value());
-      if (!interval_text.empty()) {
-        auto s = parse_seconds(flag, interval_text);
-        if (!s.is_ok()) return s.status();
-        config.options.stream_interval_seconds = s.value();
-      }
-    } else if (flag == "--stream-full-remerge") {
-      config.options.stream_full_remerge = true;
-    } else if (flag == "--evolve") {
-      auto value = next();
-      if (!value.is_ok()) return value.status();
-      if (value.value() == "jitter") {
-        config.options.evolution = app::TraceEvolution::kJitter;
-      } else if (value.value() == "drift") {
-        config.options.evolution = app::TraceEvolution::kDrift;
-      } else {
-        return bad("--evolve expects jitter|drift");
-      }
-    } else if (flag == "--fs") {
-      auto value = next();
-      if (!value.is_ok()) return value.status();
-      if (value.value() == "nfs") {
-        config.options.shared_fs = SharedFsKind::kNfs;
-      } else if (value.value() == "lustre") {
-        config.options.shared_fs = SharedFsKind::kLustre;
-      } else {
-        return bad("--fs expects nfs|lustre");
-      }
-    } else if (flag == "--sbrs") {
-      config.options.use_sbrs = true;
-    } else if (flag == "--slim-binaries") {
-      config.options.slim_binaries = true;
-    } else if (flag == "--app") {
-      auto value = next();
-      if (!value.is_ok()) return value.status();
-      if (value.value() == "ring") {
-        config.options.app = AppKind::kRingHang;
-      } else if (value.value() == "threaded") {
-        config.options.app = AppKind::kThreadedRing;
-      } else if (value.value() == "statbench") {
-        config.options.app = AppKind::kStatBench;
-      } else if (value.value() == "iostall") {
-        config.options.app = AppKind::kIoStall;
-      } else if (value.value() == "imbalance") {
-        config.options.app = AppKind::kImbalance;
-      } else if (value.value() == "oomcascade") {
-        config.options.app = AppKind::kOomCascade;
-      } else {
-        return bad("unknown app '" + std::string(value.value()) + "'");
-      }
-    } else if (flag == "--fail-fraction") {
-      auto value = next();
-      if (!value.is_ok()) return value.status();
-      auto f = parse_fraction(flag, value.value());
-      if (!f.is_ok()) return f.status();
-      config.options.daemon_failure_probability = f.value();
-    } else if (flag == "--fail-at") {
-      auto value = next();
-      if (!value.is_ok()) return value.status();
-      auto s = parse_seconds(flag, value.value());
-      if (!s.is_ok()) return s.status();
-      config.options.fail_at_seconds = s.value();
-    } else if (flag == "--ping-period") {
-      auto value = next();
-      if (!value.is_ok()) return value.status();
-      auto s = parse_seconds(flag, value.value());
-      if (!s.is_ok()) return s.status();
-      if (s.value() <= 0.0) return bad("--ping-period must be > 0");
-      config.options.ping_period_seconds = s.value();
-    } else if (flag == "--seed") {
-      auto value = next();
-      if (!value.is_ok()) return value.status();
-      auto n = parse_number(flag, value.value());
-      if (!n.is_ok()) return n.status();
-      config.options.seed = n.value();
-    } else if (flag == "--exec-threads") {
-      auto value = next();
-      if (!value.is_ok()) return value.status();
-      auto n = parse_number(flag, value.value());
-      if (!n.is_ok()) return n.status();
-      if (n.value() == 0 || n.value() > 256) {
-        return bad("--exec-threads out of range");
-      }
-      config.options.exec_threads = static_cast<std::uint32_t>(n.value());
-    } else if (flag == "--format") {
-      auto value = next();
-      if (!value.is_ok()) return value.status();
-      if (value.value() == "text") {
-        config.format = OutputFormat::kText;
-      } else if (value.value() == "csv") {
-        config.format = OutputFormat::kCsv;
-      } else if (value.value() == "json") {
-        config.format = OutputFormat::kJson;
-      } else {
-        return bad("--format expects text|csv|json");
-      }
-    } else if (flag == "--print-tree") {
-      config.print_tree = true;
-    } else if (flag == "--dot") {
-      auto value = next();
-      if (!value.is_ok()) return value.status();
-      config.dot_path = std::string(value.value());
-    } else if (flag == "--checkpoint-period") {
-      auto value = next();
-      if (!value.is_ok()) return value.status();
-      std::string_view count_text = value.value();
-      std::string_view path_text;
-      if (const auto colon = count_text.find(':');
-          colon != std::string_view::npos) {
-        path_text = count_text.substr(colon + 1);
-        count_text = count_text.substr(0, colon);
-        if (path_text.empty()) {
-          return bad("--checkpoint-period N:PATH has an empty path");
-        }
-      }
-      auto n = parse_number(flag, count_text);
-      if (!n.is_ok()) return n.status();
-      if (n.value() == 0 || n.value() > 10000) {
-        return bad("--checkpoint-period out of range");
-      }
-      config.options.checkpoint_period = static_cast<std::uint32_t>(n.value());
-      if (!path_text.empty()) config.checkpoint_path = std::string(path_text);
-    } else if (flag == "--vacate-at") {
-      auto value = next();
-      if (!value.is_ok()) return value.status();
-      std::string_view round_text = value.value();
-      std::string_view path_text;
-      if (const auto colon = round_text.find(':');
-          colon != std::string_view::npos) {
-        path_text = round_text.substr(colon + 1);
-        round_text = round_text.substr(0, colon);
-        if (path_text.empty()) {
-          return bad("--vacate-at R:PATH has an empty path");
-        }
-      }
-      auto n = parse_number(flag, round_text);
-      if (!n.is_ok()) return n.status();
-      if (n.value() == 0 || n.value() > 10000) {
-        return bad("--vacate-at out of range (interior round boundaries "
-                   "start at 1)");
-      }
-      config.options.vacate_at_round = static_cast<std::int32_t>(n.value());
-      if (!path_text.empty()) config.checkpoint_path = std::string(path_text);
-    } else if (flag == "--restore") {
-      auto value = next();
-      if (!value.is_ok()) return value.status();
-      if (value.value().empty()) {
-        return bad("--restore expects a checkpoint file path");
-      }
-      config.restore_path = std::string(value.value());
-    } else if (flag == "--service") {
-      auto value = next();
-      if (!value.is_ok()) return value.status();
-      if (value.value().empty()) {
-        return bad("--service expects a trace file path");
-      }
-      config.service_trace_path = std::string(value.value());
-    } else if (flag == "--service-policy") {
-      auto value = next();
-      if (!value.is_ok()) return value.status();
-      if (value.value() != "fifo" && value.value() != "backfill") {
-        return bad("--service-policy expects fifo|backfill");
-      }
-      config.service_policy = std::string(value.value());
-    } else {
-      return bad("unknown flag '" + std::string(flag) + "'");
+    const FlagSpec* spec = std::ranges::find(kFlags, flag, &FlagSpec::name);
+    if (spec == std::end(kFlags)) {
+      return invalid_argument("unknown flag '" + std::string(flag) + "'");
     }
+    if (spec->takes_value && ++i == args.size()) {
+      return invalid_argument(std::string(flag) + " requires a value");
+    }
+    const std::string_view value = spec->takes_value ? args[i] : "";
+    if (Status s = spec->apply(parsing, {flag, value}); !s.is_ok()) return s;
   }
 
+  // More than one thread per task implies the threaded app, unless an app
+  // was named.
+  if (!parsing.app_named && parsing.job.threads_per_task > 1) {
+    parsing.options.app = AppKind::kThreadedRing;
+  }
   // Machine-appropriate launcher default: BG/L-style machines must use the
   // system launcher.
-  if (!launcher_explicit &&
-      config.machine.daemon_placement == machine::DaemonPlacement::kPerIoNode) {
-    config.options.launcher = LauncherKind::kCiodPatched;
+  if (!parsing.launcher_named && parsing.machine.daemon_placement ==
+                                     machine::DaemonPlacement::kPerIoNode) {
+    parsing.options.launcher = LauncherKind::kCiodPatched;
   }
   // Validate the job fits before the caller builds a scenario.
-  if (auto layout = machine::layout_daemons(config.machine, config.job);
+  if (auto layout = machine::layout_daemons(parsing.machine, parsing.job);
       !layout.is_ok()) {
     return layout.status();
   }
-  return config;
+  return CliConfig(std::move(parsing));
 }
 
 }  // namespace petastat::stat

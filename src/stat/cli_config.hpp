@@ -39,29 +39,10 @@ struct CliConfig {
 /// Usage text for --help.
 [[nodiscard]] std::string cli_usage();
 
-/// Parses `args` (excluding argv[0]). Unknown flags, malformed values, and
-/// invalid combinations come back as INVALID_ARGUMENT.
-///
-/// Flags:
-///   --machine atlas|bgl|petascale     --tasks N
-///   --mode co|vn                      --threads N
-///   --topology flat|2deep|3deep|bgl2deep|bgl3deep|auto
-///   --fe-shards N|auto                front-end merge sharding (reducers;
-///                                     N > 8 builds a reducer tree)
-///   --reducer-placement comm|pack|spread  shard-machinery host policy
-///   --repr dense|hier                 --launcher rsh|ssh|launchmon|ciod|ciod-unpatched
-///   --samples N                       --fs nfs|lustre
-///   --stream N[:interval]             streaming per-sample merge rounds
-///   --stream-full-remerge             disable the streaming delta caches
-///   --evolve jitter|drift             trace evolution across samples
-///   --sbrs                            --slim-binaries
-///   --seed N                          --app ring|threaded|statbench|iostall|imbalance
-///   --fail-fraction F                 --format text|csv|json
-///   --exec-threads N                  --print-tree
-///   --dot PATH
-///   --checkpoint-period N[:PATH]      checkpoint every N streaming rounds
-///   --vacate-at R[:PATH]              vacate (simulated FE kill) at round R
-///   --restore PATH                    resume from a checkpoint file
+/// Parses `args` (excluding argv[0]) against one flag table; cli_usage()
+/// lists every flag, its values and its default. Unknown flags, malformed
+/// values, and invalid combinations come back as INVALID_ARGUMENT; a job
+/// that does not fit the machine comes back as layout_daemons' status.
 [[nodiscard]] Result<CliConfig> parse_cli(std::span<const std::string_view> args);
 
 }  // namespace petastat::stat

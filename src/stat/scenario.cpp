@@ -197,15 +197,10 @@ StatScenario::StatScenario(machine::MachineConfig machine,
     options_.run_through = RunThrough::kFull;
   }
 
-  // Explicit zeros are configuration errors, not requests for a default: a
-  // front end with no connections and a merge with no shards both mean the
-  // caller typed something they did not intend.
-  if (options_.max_frontend_connections &&
-      *options_.max_frontend_connections == 0) {
-    config_status_ = invalid_argument(
-        "max_frontend_connections override must be >= 1 (leave it unset for "
-        "the machine default)");
-  } else if (options_.fe_shards == 0 && !options_.fe_shards_auto) {
+  // An explicit zero is a configuration error, not a request for a default:
+  // a merge with no shards means the caller typed something they did not
+  // intend.
+  if (options_.fe_shards == 0 && !options_.fe_shards_auto) {
     config_status_ =
         invalid_argument("fe_shards must be >= 1 (1 = unsharded front end)");
   } else if (options_.daemon_failure_probability < 0.0 ||
@@ -256,15 +251,6 @@ StatScenario::StatScenario(machine::MachineConfig machine,
       config_status_ = invalid_argument(
           "vacate_at_round must be past the restore cursor");
     }
-  }
-
-  // The per-run connection override *is* the machine's ceiling for this run:
-  // folding it into the config here means every consumer — the reducer-tree
-  // fan-in clamp in tbon::derive_levels, connection_viability, and the
-  // planner the auto modes consult below — sees one consistent limit, so
-  // the tree that gets checked is the tree that limit would demand.
-  if (config_status_.is_ok() && options_.max_frontend_connections) {
-    machine_.max_tool_connections = *options_.max_frontend_connections;
   }
 
   // Resolve `--topology auto` / `--fe-shards auto` / the restore re-plan up
@@ -522,11 +508,8 @@ StatRunResult StatScenario::run_impl() {
   // Dead daemons never dial in, so viability is judged on the survivors —
   // a tree that would overflow the front end at full strength can be fine
   // after casualties, and the planner's mask overload agrees.
-  const std::uint32_t conn_limit =
-      options_.max_frontend_connections.value_or(
-          machine_.max_tool_connections);
-  if (Status conn =
-          tbon::connection_viability(topology, conn_limit, daemon_dead);
+  if (Status conn = tbon::connection_viability(
+          topology, machine_.max_tool_connections, daemon_dead);
       !conn.is_ok()) {
     phases.merge_status = std::move(conn);
     result.status = phases.merge_status;

@@ -83,11 +83,6 @@ struct StatOptions {
   /// the run uses. The auto modes rank pack against spread themselves and
   /// override this.
   tbon::ReducerPlacement reducer_placement = tbon::ReducerPlacement::kCommLike;
-  /// Override of MachineConfig::max_tool_connections for this run (the
-  /// Sec. V-A what-if knob). Unset = machine default. An explicit 0 is
-  /// INVALID_ARGUMENT at construction — a front end with no connections is
-  /// a configuration error, not a request for the default.
-  std::optional<std::uint32_t> max_frontend_connections;
   TaskSetRepr repr = TaskSetRepr::kHierarchical;
   LauncherKind launcher = LauncherKind::kLaunchMon;
   std::uint32_t num_samples = 10;

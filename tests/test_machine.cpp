@@ -53,6 +53,20 @@ TEST(Presets, PetascaleHasMillionCores) {
             1048576ull);
 }
 
+TEST(Presets, ByNameBuildsTheNamedPreset) {
+  for (const char* name : {"atlas", "bgl", "petascale"}) {
+    const auto machine = preset(name);
+    ASSERT_TRUE(machine.is_ok()) << name;
+    EXPECT_EQ(machine.value().name, name);
+  }
+  EXPECT_EQ(preset("bgl").value().max_tool_connections,
+            bgl().max_tool_connections);
+  for (const char* name : {"cray", "", "Atlas", "bgl "}) {
+    EXPECT_EQ(preset(name).status().code(), StatusCode::kInvalidArgument)
+        << "'" << name << "'";
+  }
+}
+
 TEST(Layout, AtlasPacksEightTasksPerDaemon) {
   const auto layout = layout_daemons(atlas(), {.num_tasks = 1024});
   ASSERT_TRUE(layout.is_ok());

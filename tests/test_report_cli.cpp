@@ -137,6 +137,18 @@ TEST(Cli, ThreadsImplyThreadedApp) {
   ASSERT_TRUE(config.is_ok());
   EXPECT_EQ(config.value().options.app, AppKind::kThreadedRing);
   EXPECT_EQ(config.value().job.threads_per_task, 4u);
+
+  // ...unless an app is named, wherever --threads sits on the line.
+  for (const auto& argv : {args({"--app", "statbench", "--threads", "4"}),
+                           args({"--threads", "4", "--app", "statbench"})}) {
+    const auto named = parse_cli(argv);
+    ASSERT_TRUE(named.is_ok()) << named.status().to_string();
+    EXPECT_EQ(named.value().options.app, AppKind::kStatBench) << argv[0];
+    EXPECT_EQ(named.value().job.threads_per_task, 4u);
+  }
+  const auto ring = parse_cli(args({"--app", "ring", "--threads", "2"}));
+  ASSERT_TRUE(ring.is_ok());
+  EXPECT_EQ(ring.value().options.app, AppKind::kRingHang);
 }
 
 TEST(Cli, RejectsUnknownFlagsAndValues) {

@@ -149,33 +149,22 @@ TEST(Scenario, FlatTopologyFailsMergeAt256DaemonsOnBgl) {
 
 TEST(Scenario, ConnectionLimitBoundaryIsExact) {
   // Exactly the limit survives; one more fails (the documented `> limit`
-  // semantic, via the per-run override knob). 256 Atlas tasks = 32 daemons
-  // hanging directly off a flat front end.
+  // semantic of MachineConfig::max_tool_connections). 256 Atlas tasks = 32
+  // daemons hanging directly off a flat front end.
   StatOptions options;
   options.topology = tbon::TopologySpec::flat();
+  machine::MachineConfig limited = machine::atlas();
   for (const std::uint32_t limit : {33u, 32u}) {
-    options.max_frontend_connections = limit;
+    limited.max_tool_connections = limit;
     const auto result =
-        run(machine::atlas(), 256, machine::BglMode::kCoprocessor, options);
+        run(limited, 256, machine::BglMode::kCoprocessor, options);
     EXPECT_TRUE(result.status.is_ok()) << "limit " << limit;
   }
-  options.max_frontend_connections = 31;
+  limited.max_tool_connections = 31;
   const auto result =
-      run(machine::atlas(), 256, machine::BglMode::kCoprocessor, options);
+      run(limited, 256, machine::BglMode::kCoprocessor, options);
   EXPECT_EQ(result.status.code(), StatusCode::kResourceExhausted);
   EXPECT_FALSE(result.phases.merge_status.is_ok());
-}
-
-TEST(Scenario, ExplicitZeroConnectionOverrideIsInvalid) {
-  // An explicit 0 is a configuration error, not a request for the machine
-  // default — the old silent-fallback ternary hid exactly this typo.
-  StatOptions options;
-  options.max_frontend_connections = 0;
-  const auto result =
-      run(machine::atlas(), 256, machine::BglMode::kCoprocessor, options);
-  EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument);
-  // The run never reaches a simulated phase.
-  EXPECT_EQ(result.phases.startup_total, 0u);
 }
 
 TEST(Scenario, ZeroShardsIsInvalid) {

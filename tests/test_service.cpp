@@ -498,15 +498,15 @@ TEST(SessionScheduler, VacatedAutoSessionReplansItsRestoredLeg) {
 }
 
 TEST(SessionScheduler, DemandIsTheTreeTheSessionRuns) {
-  // The connection override clamps the reducer-tree fan-in, so the ledger
-  // must price the tree on the machine the run folds it into: 16 reducers
-  // under 4 front-end children, not under 2.
+  // The connection ceiling clamps the reducer-tree fan-in, so the ledger
+  // must price the tree the run builds on that machine: 16 reducers under
+  // 4 front-end children, not under 2.
   SessionRequest request = small_session("sharded", 0.0);
   request.job.num_tasks = 512;
   request.options.fe_shards = 16;
-  request.options.max_frontend_connections = 4;
   ServiceConfig config;
   config.machine = machine::atlas();
+  config.machine.max_tool_connections = 4;
   SessionScheduler scheduler(config);
   ASSERT_TRUE(scheduler.submit(request).is_ok());
   const ServiceReport report = scheduler.run();
@@ -598,6 +598,34 @@ TEST(ServiceTrace, RejectsMalformedInput) {
     ASSERT_FALSE(trace.is_ok()) << what;
     EXPECT_EQ(trace.status().code(), StatusCode::kInvalidArgument) << what;
   }
+}
+
+// Session numbers become CLI flag text and must parse back to the same
+// double: no rounding to six digits, no exponent form for large integers.
+TEST(ServiceTrace, NumbersReachTheirFlagsExactly) {
+  auto reals = parse_service_trace(R"({"sessions": [{"tasks": 128,
+      "ping-period": 0.123456789, "fail-at": 1234.56789,
+      "fail-fraction": 1e-7}]})");
+  ASSERT_TRUE(reals.is_ok()) << reals.status().to_string();
+  const stat::StatOptions& options = reals.value().sessions[0].options;
+  EXPECT_EQ(options.ping_period_seconds, 0.123456789);
+  EXPECT_EQ(options.fail_at_seconds, 1234.56789);
+  EXPECT_EQ(options.daemon_failure_probability, 1e-7);
+
+  auto seeds = parse_service_trace(R"({"sessions": [
+      {"tasks": 128, "seed": 1000000000000000},
+      {"tasks": 128, "seed": 9007199254740992}]})");
+  ASSERT_TRUE(seeds.is_ok()) << seeds.status().to_string();
+  EXPECT_EQ(seeds.value().sessions[0].options.seed, 1000000000000000u);
+  EXPECT_EQ(seeds.value().sessions[1].options.seed, 9007199254740992u);  // 2^53
+}
+
+// A trace without a "machine" key runs on ServiceConfig's default machine.
+TEST(ServiceTrace, DefaultMachineIsTheServiceConfigs) {
+  auto trace = parse_service_trace(R"({"sessions": [{"tasks": 128}]})");
+  ASSERT_TRUE(trace.is_ok()) << trace.status().to_string();
+  EXPECT_EQ(trace.value().config.machine.name, ServiceConfig{}.machine.name);
+  EXPECT_EQ(trace.value().config.machine.name, "petascale");
 }
 
 TEST(ServiceTrace, MissingFileIsNotFound) {

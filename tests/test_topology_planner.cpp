@@ -150,22 +150,23 @@ TEST(PhasePredictor, ConnectionBoundaryIsExact) {
   EXPECT_EQ(at(256 * 64).code(), StatusCode::kResourceExhausted);
 }
 
-TEST(PhasePredictor, HonorsThePerRunConnectionOverride) {
-  // The simulator and the planner must agree on the limit *including* the
-  // per-run override — otherwise auto modes pick specs the run then rejects.
+TEST(PhasePredictor, HonorsTheMachineConnectionLimit) {
+  // The simulator and the planner must agree on a lowered limit — otherwise
+  // auto modes pick specs the run then rejects.
   stat::StatOptions options = dense_options(stat::LauncherKind::kLaunchMon);
-  options.max_frontend_connections = 31;  // one under Atlas's 32 daemons
-  auto predictor = predictor_for(machine::atlas(), 256, options);
+  machine::MachineConfig limited = machine::atlas();
+  limited.max_tool_connections = 31;  // one under Atlas's 32 daemons
+  auto predictor = predictor_for(limited, 256, options);
   ASSERT_TRUE(predictor.is_ok());
   const auto flat = predictor.value().predict(tbon::TopologySpec::flat());
   ASSERT_TRUE(flat.is_ok());
   EXPECT_EQ(flat.value().viability.code(), StatusCode::kResourceExhausted);
 
-  // End to end: --topology auto under the override completes, on a spec that
-  // respects the overridden limit.
+  // End to end: --topology auto under the lowered limit completes, on a
+  // spec that respects it.
   options.topology_auto = true;
   machine::JobConfig job{.num_tasks = 256};
-  stat::StatScenario scenario(machine::atlas(), job, options);
+  stat::StatScenario scenario(limited, job, options);
   const stat::StatRunResult result = scenario.run();
   ASSERT_TRUE(result.status.is_ok()) << result.status.to_string();
   EXPECT_GE(result.topology.depth + (result.topology.fe_shards > 1 ? 1 : 0),
@@ -285,9 +286,10 @@ TEST(Resolve, EveryBranchReproducesThePinnedSpec) {
     cases.push_back({"restore, fe_shards_auto", machine::atlas(), atlas_job, o,
                      true,
                      {"1-deep", 1, tbon::ReducerPlacement::kCommLike, {}}});
-    o.max_frontend_connections = 8;
-    cases.push_back({"restore, fe_shards_auto, 8 connections",
-                     machine::atlas(), atlas_job, o, true,
+    machine::MachineConfig eight = machine::atlas();
+    eight.max_tool_connections = 8;
+    cases.push_back({"restore, fe_shards_auto, 8 connections", eight,
+                     atlas_job, o, true,
                      {"1-deep x8shard/pack", 8, tbon::ReducerPlacement::kPack,
                       {}}});
   }
@@ -299,12 +301,7 @@ TEST(Resolve, EveryBranchReproducesThePinnedSpec) {
         << c.what << ": " << scenario.config_status().to_string();
     expect_pinned(scenario.resolved_options().topology, c.pin, c.what);
 
-    // resolve() takes the run's machine: the connection override folded in.
-    machine::MachineConfig run_machine = c.machine;
-    if (c.options.max_frontend_connections) {
-      run_machine.max_tool_connections = *c.options.max_frontend_connections;
-    }
-    auto resolved = resolve(run_machine, c.job, c.options,
+    auto resolved = resolve(c.machine, c.job, c.options,
                             machine::default_cost_model(c.machine),
                             restore.get());
     ASSERT_TRUE(resolved.is_ok())
@@ -619,17 +616,18 @@ TEST(PhasePredictor, ReducerTreeRescuesThePetascaleFlatMerge) {
   EXPECT_EQ(tree.value().num_comm_procs, 72u);  // 64 reducers + 8 combiners
 }
 
-TEST(PhasePredictor, ConnectionOverrideTightensTheReducerTreeFanIn) {
-  // The per-run override is the run's ceiling everywhere, the combiner
-  // fan-in clamp included: under a 4-connection what-if, K = 64 must fold
-  // through 4-ary combiner levels (FE -> 4 -> 16 -> 64 reducers of 4
-  // daemons each) and come out viable — not get built 8-ary against the
-  // machine default and then rejected by the very limit that demanded the
-  // deeper tree.
+TEST(PhasePredictor, ConnectionLimitTightensTheReducerTreeFanIn) {
+  // The machine's connection limit is the run's ceiling everywhere, the
+  // combiner fan-in clamp included: under a 4-connection what-if, K = 64
+  // must fold through 4-ary combiner levels (FE -> 4 -> 16 -> 64 reducers
+  // of 4 daemons each) and come out viable — not get built 8-ary against
+  // the preset's limit and then rejected by the very limit that demanded
+  // the deeper tree.
   stat::StatOptions options = dense_options(stat::LauncherKind::kCiodPatched);
   options.repr = stat::TaskSetRepr::kHierarchical;
-  options.max_frontend_connections = 4;
-  auto predictor = predictor_for(machine::petascale(), 131072, options,
+  machine::MachineConfig limited = machine::petascale();
+  limited.max_tool_connections = 4;
+  auto predictor = predictor_for(limited, 131072, options,
                                  machine::BglMode::kVirtualNode);
   ASSERT_TRUE(predictor.is_ok());
   const tbon::TopologySpec spec = tbon::TopologySpec::flat().with_shards(64);
@@ -640,13 +638,14 @@ TEST(PhasePredictor, ConnectionOverrideTightensTheReducerTreeFanIn) {
   // 64 reducers + 16 + 4 combiners.
   EXPECT_EQ(prediction.value().num_comm_procs, 84u);
 
-  // The simulator folds the override the same way: the run completes.
+  // The simulator builds the same tree under the same limit: the run
+  // completes.
   machine::JobConfig job;
   job.num_tasks = 131072;
   job.mode = machine::BglMode::kVirtualNode;
   stat::StatOptions run_options = options;
   run_options.topology = spec;
-  stat::StatScenario scenario(machine::petascale(), job, run_options);
+  stat::StatScenario scenario(limited, job, run_options);
   const stat::StatRunResult result = scenario.run();
   ASSERT_TRUE(result.status.is_ok()) << result.status.to_string();
   EXPECT_EQ(result.num_comm_procs, 84u);

@@ -2,8 +2,9 @@
 """Fail when a CLI flag parsed by src/stat/cli_config.cpp is undocumented.
 
 The README's CLI reference table must cover every flag the parser
-accepts: this gate extracts the `flag == "--name"` comparisons from the
-parser and greps the README for each flag spelled verbatim. It keeps the
+accepts: this gate extracts the names of the parser's flag table (the
+`{"--name", ...}` entries of `kFlags`) and greps the README for each flag
+spelled verbatim. It keeps the
 documented interface from silently drifting behind the real one (the
 `docs-check` CI step).
 
@@ -17,7 +18,9 @@ import argparse
 import re
 import sys
 
-FLAG_PATTERN = re.compile(r'flag\s*==\s*"(--[a-z][a-z0-9-]*)"')
+# A flag-table entry opens a line: `{"--name", true|false, ...`.
+FLAG_PATTERN = re.compile(r'^\s*\{"(--[a-z][a-z0-9-]*)",\s*(?:true|false)\b',
+                          re.MULTILINE)
 
 
 def main():
@@ -33,12 +36,14 @@ def main():
         with open(args.readme, "r", encoding="utf-8") as f:
             readme = f.read()
     except OSError as error:
-        sys.exit(f"error: {error}")
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
     flags = sorted(set(FLAG_PATTERN.findall(cli_source)))
     if not flags:
-        sys.exit(f"error: no flags found in {args.cli} — "
-                 "did the parser's shape change?")
+        print(f"error: no flags found in {args.cli} — "
+              "did the parser's shape change?", file=sys.stderr)
+        return 2
 
     missing = [flag for flag in flags if flag not in readme]
     for flag in missing:
